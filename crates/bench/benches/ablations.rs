@@ -1,5 +1,9 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §5:
-//! each pits the chosen implementation against its reference alternative.
+//! Ablation benchmarks for the workspace's main design choices: the
+//! uniform-grid spatial index, incremental topology repair, the
+//! delta-evaluated search and GA inner loops, dynamic connectivity
+//! repair, union-find components, summed-area density windows and
+//! threaded GA evaluation. Each pits the chosen implementation against
+//! its reference alternative, described on the benchmark's doc comment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, RngCore};

@@ -41,7 +41,7 @@ use wmn_placement::registry::AdHocMethod;
 pub const SCHEMA: &str = "wmn-checkpoint/v1";
 
 /// FNV-1a 64-bit over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -11,10 +11,11 @@
 //! * `--ga-threads <n>` — evaluation threads inside one GA run
 //!   (`WMN_GA_THREADS`; default 4).
 //! * `--scale <n>` — proportional instance scale-up: `n`× routers and
-//!   clients on `√n`× the area side (`WMN_SCALE`).
+//!   clients on `√n`× the area side (`WMN_SCALE`; `n ≥ 1`).
 //! * `--scale-routers <n>` / `--scale-clients <n>` / `--scale-area <x>` —
 //!   individual multipliers (`WMN_SCALE_ROUTERS` / `WMN_SCALE_CLIENTS` /
-//!   `WMN_SCALE_AREA`).
+//!   `WMN_SCALE_AREA`; counts `≥ 1`, area positive and finite). Invalid
+//!   multipliers are rejected at parse time, naming the flag or variable.
 //! * `--ns-budget <n>` — neighbors sampled per search phase.
 //! * `--connectivity <mode>` — connectivity repair strategy
 //!   (`WMN_CONNECTIVITY`): `dynamic` (default), `rescan` (whole-graph DSU
@@ -78,6 +79,25 @@ fn fault_plan(value: &str) -> Result<wmn_runtime::FaultPlan, String> {
     wmn_runtime::FaultPlan::parse(value).map_err(|e| format!("bad fault plan: {e}"))
 }
 
+/// Rejects a zero router or client multiplier (shared by the flag and env
+/// paths; `name` is the flag or variable, for the message).
+fn count_multiplier(name: &str, n: u32) -> Result<u32, String> {
+    if n == 0 {
+        Err(format!("{name} must be at least 1, got 0"))
+    } else {
+        Ok(n)
+    }
+}
+
+/// Rejects an area multiplier that is not positive and finite.
+fn area_multiplier(name: &str, x: f64) -> Result<f64, String> {
+    if x.is_finite() && x > 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("{name} must be positive and finite, got {x}"))
+    }
+}
+
 fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
     let v = value.ok_or(format!("{flag} needs a value"))?;
     v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
@@ -89,7 +109,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
 ///
 /// # Errors
 ///
-/// Returns a usage message on unknown flags or malformed numbers.
+/// Returns a usage message on unknown flags, malformed numbers or invalid
+/// scale multipliers.
 pub fn parse_from<I: IntoIterator<Item = String>>(
     base: ExperimentConfig,
     args: I,
@@ -110,12 +131,21 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
                 config.threads = parse_num::<usize>("--ga-threads", it.next())?.max(1);
             }
             "--scale" => {
-                config.scale =
-                    ScenarioScale::proportional(parse_num::<u32>("--scale", it.next())?.max(1));
+                let n = count_multiplier("--scale", parse_num("--scale", it.next())?)?;
+                config.scale = ScenarioScale::proportional(n);
             }
-            "--scale-routers" => config.scale.routers = parse_num("--scale-routers", it.next())?,
-            "--scale-clients" => config.scale.clients = parse_num("--scale-clients", it.next())?,
-            "--scale-area" => config.scale.area = parse_num("--scale-area", it.next())?,
+            "--scale-routers" => {
+                let n = parse_num("--scale-routers", it.next())?;
+                config.scale.routers = count_multiplier("--scale-routers", n)?;
+            }
+            "--scale-clients" => {
+                let n = parse_num("--scale-clients", it.next())?;
+                config.scale.clients = count_multiplier("--scale-clients", n)?;
+            }
+            "--scale-area" => {
+                let x = parse_num("--scale-area", it.next())?;
+                config.scale.area = area_multiplier("--scale-area", x)?;
+            }
             "--ns-budget" => config.ns_budget = parse_num("--ns-budget", it.next())?,
             "--connectivity" => {
                 let v = it.next().ok_or("--connectivity needs a value")?;
@@ -173,7 +203,8 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, Stri
 ///
 /// # Errors
 ///
-/// Returns a message naming the malformed variable.
+/// Returns a message naming the malformed variable (including an invalid
+/// scale multiplier).
 pub fn config_from_vars(
     lookup: impl Fn(&str) -> Option<String>,
 ) -> Result<ExperimentConfig, String> {
@@ -194,17 +225,17 @@ pub fn config_from_vars(
     if let Some(n) = num::<usize>(&lookup, "WMN_GA_THREADS")? {
         config.threads = n.max(1);
     }
-    if let Some(n) = num::<u32>(&lookup, "WMN_SCALE")? {
-        config.scale = ScenarioScale::proportional(n.max(1));
+    if let Some(n) = num(&lookup, "WMN_SCALE")? {
+        config.scale = ScenarioScale::proportional(count_multiplier("WMN_SCALE", n)?);
     }
-    if let Some(n) = num::<u32>(&lookup, "WMN_SCALE_ROUTERS")? {
-        config.scale.routers = n;
+    if let Some(n) = num(&lookup, "WMN_SCALE_ROUTERS")? {
+        config.scale.routers = count_multiplier("WMN_SCALE_ROUTERS", n)?;
     }
-    if let Some(n) = num::<u32>(&lookup, "WMN_SCALE_CLIENTS")? {
-        config.scale.clients = n;
+    if let Some(n) = num(&lookup, "WMN_SCALE_CLIENTS")? {
+        config.scale.clients = count_multiplier("WMN_SCALE_CLIENTS", n)?;
     }
-    if let Some(x) = num::<f64>(&lookup, "WMN_SCALE_AREA")? {
-        config.scale.area = x;
+    if let Some(x) = num(&lookup, "WMN_SCALE_AREA")? {
+        config.scale.area = area_multiplier("WMN_SCALE_AREA", x)?;
     }
     if let Some(v) = lookup("WMN_CONNECTIVITY") {
         config.connectivity =
@@ -386,6 +417,49 @@ mod tests {
         let opts = parse_vec(&["--scale", "4", "--scale-area", "1.5"]).unwrap();
         assert_eq!(opts.config.scale.routers, 4);
         assert!((opts.config.scale.area - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rejects_invalid_scale_flags_naming_them() {
+        for (flag, value) in [
+            ("--scale", "0"),
+            ("--scale-routers", "0"),
+            ("--scale-clients", "0"),
+            ("--scale-area", "0"),
+            ("--scale-area", "-1.5"),
+            ("--scale-area", "NaN"),
+            ("--scale-area", "inf"),
+        ] {
+            let err = parse_vec(&[flag, value]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} must be")),
+                "{flag} {value}: {err}"
+            );
+        }
+        // The smallest valid values still parse.
+        let opts = parse_vec(&["--scale", "1", "--scale-area", "0.5"]).unwrap();
+        assert_eq!(opts.config.scale.routers, 1);
+        assert_eq!(opts.config.scale.area, 0.5);
+    }
+
+    #[test]
+    fn rejects_invalid_scale_env_vars_naming_them() {
+        for (name, value) in [
+            ("WMN_SCALE", "0"),
+            ("WMN_SCALE_ROUTERS", "0"),
+            ("WMN_SCALE_CLIENTS", "0"),
+            ("WMN_SCALE_AREA", "0"),
+            ("WMN_SCALE_AREA", "-2"),
+            ("WMN_SCALE_AREA", "NaN"),
+            ("WMN_SCALE_AREA", "-inf"),
+        ] {
+            let lookup = |var: &str| (var == name).then(|| value.to_owned());
+            let err = config_from_vars(lookup).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{name} must be")),
+                "{name}={value}: {err}"
+            );
+        }
     }
 
     #[test]

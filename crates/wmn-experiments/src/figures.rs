@@ -25,6 +25,7 @@ use wmn_runtime::grid::{domain, Cell};
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
 use wmn_search::neighborhood::ExplorationBudget;
 use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
+use wmn_search::trace::SearchTrace;
 
 /// A reproduced GA-evolution figure (Figures 1–3).
 #[derive(Debug, Clone, PartialEq)]
@@ -239,6 +240,7 @@ pub fn run_ns_figure(config: &ExperimentConfig) -> Result<NsFigure, ExperimentEr
                     ctx.sabotage,
                     &mut NoopRecorder,
                 )
+                .map(|trace| trace.giant_series(*label))
             },
         )
         .map_err(|f| cell_failure(ns_cell_label(f.index), f));
@@ -298,6 +300,7 @@ pub fn run_ns_figure_recorded(
                     ctx.sabotage,
                     rec,
                 )
+                .map(|trace| trace.giant_series(*label))
             },
         )
         .map_err(|f| cell_failure(ns_cell_label(f.index), f));
@@ -323,7 +326,8 @@ fn ns_initial_placement(
     instance.random_placement(&mut init_rng)
 }
 
-/// One Figure 4 curve: a neighborhood search with the given movement over
+/// One Figure 4 search (its full per-phase trace; the figure plots the
+/// giant series): a neighborhood search with the given movement over
 /// a topology pinned to the configured connectivity strategy. A sabotaged
 /// attempt (`blowup@repair` fault) floors the connectivity cost cap —
 /// forcing the rescan fallback on every deletion search — and arms the
@@ -341,7 +345,7 @@ fn ns_job(
     label: &str,
     sabotage: bool,
     recorder: &mut dyn Recorder,
-) -> Result<Trace, ModelError> {
+) -> Result<SearchTrace, ModelError> {
     let search_config = SearchConfig {
         budget: ExplorationBudget::sampled(config.ns_budget),
         stopping: StoppingCondition::fixed_phases(config.ns_phases),
@@ -366,7 +370,7 @@ fn ns_job(
         });
     }
     let outcome = search.run_with_topology_recorded(&mut topo, &mut rng, recorder);
-    Ok(outcome.trace.giant_series(label))
+    Ok(outcome.trace)
 }
 
 #[cfg(test)]
@@ -417,6 +421,52 @@ mod tests {
         assert!(
             swap_final >= random_final,
             "swap ({swap_final}) must not lose to random ({random_final})"
+        );
+    }
+
+    /// FNV-1a-64 over every phase of both Figure 4 searches (swap, then
+    /// random): fitness bits, giant size and covered clients.
+    fn ns_figure_digest(config: &ExperimentConfig) -> String {
+        let scenario = Scenario::Normal;
+        let instance = config.instance(scenario).unwrap();
+        let evaluator = Evaluator::paper_default(&instance);
+        let initial = ns_initial_placement(config, scenario, &instance);
+        let mut bytes = Vec::new();
+        for (movement_id, label) in [(0, "Swap"), (1, "Random")] {
+            let trace = ns_job(
+                scenario,
+                config,
+                &instance,
+                &evaluator,
+                &initial,
+                movement_id,
+                label,
+                false,
+                &mut NoopRecorder,
+            )
+            .unwrap();
+            assert_eq!(trace.len(), config.ns_phases);
+            for record in trace.phases() {
+                bytes.extend(record.fitness().to_bits().to_le_bytes());
+                bytes.extend((record.giant_size() as u64).to_le_bytes());
+                bytes.extend((record.covered_clients() as u64).to_le_bytes());
+            }
+        }
+        format!("{:016x}", crate::checkpoint::fnv1a64(&bytes))
+    }
+
+    #[test]
+    fn ns_figure_series_are_pinned() {
+        // Any drift in swap proposals (or in the search, topology or
+        // evaluator beneath them) changes these digests: Figure 4 must be
+        // reproduced exactly, not approximately.
+        assert_eq!(
+            ns_figure_digest(&ExperimentConfig::quick()),
+            "b7832654117920bb"
+        );
+        assert_eq!(
+            ns_figure_digest(&ExperimentConfig::quick_scale(8)),
+            "73f2f6708bd5f92f"
         );
     }
 

@@ -11,14 +11,15 @@
 //! contain **no router at all** (common early in a search). Following the
 //! movement's stated intent, [`SwapMovement`] then relocates the sparse
 //! area's strongest router into the dense area ("swap with an empty slot").
-//! This gap-fill is documented in DESIGN.md and exercised by tests.
+//! The gap-fill is step 4 of [`SwapMovement`]'s proposal and is exercised
+//! by the tests below.
 
 use rand::{Rng, RngCore};
 use std::cell::RefCell;
 use std::fmt;
 use wmn_graph::density::{CellWindow, DensityMap};
 use wmn_graph::topology::WmnTopology;
-use wmn_model::geometry::{Point, Rect};
+use wmn_model::geometry::{Area, Point, Rect};
 use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
@@ -178,6 +179,31 @@ impl Default for SwapConfig {
 ///    relocate the strong router into the dense window (documented
 ///    gap-fill).
 ///
+/// # Cost model
+///
+/// Client positions never change, so construction ranks the disjoint
+/// windows ("zones") once, resolves each zone's closed [`Rect`] and
+/// client count, and builds a table mapping every density cell to the
+/// rank of the zone covering it. A proposal then makes one O(n) pass over
+/// the routers to count zone occupancy — one multiply-and-truncate cell
+/// lookup per router — plus at most three more O(n) passes: gathering the
+/// sparse zone's and the dense zone's routers, and, in relocate mode with
+/// an empty dense zone, finding the giant-component anchor. Its cost does
+/// not depend on the number of zones.
+///
+/// # Boundary rule
+///
+/// A router belongs to a zone when the zone's **closed** rectangle
+/// contains it. Adjacent zones share edges and corners, so a router on a
+/// shared edge lies in several closed rectangles; it then counts for the
+/// **lowest-rank** (densest) of them. The cell table answers only for
+/// routers strictly inside a cell; a router on or near a cell edge,
+/// outside the area or at a NaN position is resolved by testing the
+/// closed rectangles of the zones covering the 3 × 3 neighbouring cells,
+/// which gives exactly the first match of a rank-ordered scan over all
+/// zones. Gathering a zone's routers tests its closed rectangle directly,
+/// in ascending router id.
+///
 /// # Examples
 ///
 /// ```
@@ -198,10 +224,12 @@ impl Default for SwapConfig {
 #[derive(Debug, Clone)]
 pub struct SwapMovement {
     config: SwapConfig,
-    client_map: DensityMap,
-    /// All disjoint windows ranked by client count, descending. Computed
-    /// once — client positions are fixed per instance.
-    ranked_zones: Vec<CellWindow>,
+    area: Area,
+    total_clients: u64,
+    /// All disjoint windows ranked by client count, descending.
+    zones: Vec<Zone>,
+    /// Router position → zone rank lookup over the density grid.
+    grid: ZoneGrid,
     /// Per-proposal scratch buffers (interior mutability because
     /// [`Movement::propose`] takes `&self`): once warm, a proposal
     /// performs zero heap allocations, keeping the whole search inner
@@ -209,9 +237,101 @@ pub struct SwapMovement {
     scratch: RefCell<ProposeScratch>,
 }
 
+/// One ranked client zone, resolved once per instance.
+#[derive(Debug, Clone, Copy)]
+struct Zone {
+    /// The window's closed rectangle in deployment-area coordinates.
+    rect: Rect,
+    /// Clients inside the window.
+    clients: u64,
+}
+
+/// Margin, in cell units, inside which a position counts as on a cell
+/// edge. Far above the rounding error of `p · (1 / cell_w)` against the
+/// window edges `k · cell_w` for any grid that fits in memory.
+const EDGE_EPS: f64 = 1e-6;
+
+/// Maps positions to the rank of the zone whose closed rectangle holds
+/// them (see the boundary rule on [`SwapMovement`]).
+#[derive(Debug, Clone)]
+struct ZoneGrid {
+    cols: usize,
+    rows: usize,
+    inv_cell_w: f64,
+    inv_cell_h: f64,
+    /// Rank of the zone covering each cell, row-major; zones are disjoint
+    /// in cells, so there is at most one. Uncovered cells hold the
+    /// sentinel rank `zones.len()`.
+    cell_zone: Vec<u32>,
+}
+
+impl ZoneGrid {
+    fn new(map: &DensityMap, windows: &[CellWindow]) -> Self {
+        let (cols, rows) = map.shape();
+        let area = map.area();
+        let sentinel = u32::try_from(windows.len()).expect("zone count fits in u32");
+        let mut cell_zone = vec![sentinel; cols * rows];
+        for (rank, w) in (0u32..).zip(windows) {
+            for cy in w.cy..w.cy + w.h {
+                for slot in &mut cell_zone[cy * cols + w.cx..cy * cols + w.cx + w.w] {
+                    debug_assert_eq!(*slot, sentinel, "ranked zones overlap");
+                    *slot = rank;
+                }
+            }
+        }
+        ZoneGrid {
+            cols,
+            rows,
+            inv_cell_w: 1.0 / (area.width() / cols as f64),
+            inv_cell_h: 1.0 / (area.height() / rows as f64),
+            cell_zone,
+        }
+    }
+
+    /// The rank of the lowest-rank zone whose closed rectangle contains
+    /// `p`, or `zones.len()` when none does.
+    #[inline]
+    fn zone_of(&self, p: Point, zones: &[Zone]) -> usize {
+        let fx = p.x * self.inv_cell_w;
+        let fy = p.y * self.inv_cell_h;
+        // Saturating casts: negative and NaN coordinates land on 0, huge
+        // ones past the grid; both fail the checks below.
+        let (cx, cy) = (fx as usize, fy as usize);
+        let (rx, ry) = (fx - cx as f64, fy - cy as f64);
+        if cx < self.cols
+            && cy < self.rows
+            && rx > EDGE_EPS
+            && rx < 1.0 - EDGE_EPS
+            && ry > EDGE_EPS
+            && ry < 1.0 - EDGE_EPS
+        {
+            self.cell_zone[cy * self.cols + cx] as usize
+        } else {
+            self.zone_near_edge(p, cx.min(self.cols - 1), cy.min(self.rows - 1), zones)
+        }
+    }
+
+    /// Slow path of [`ZoneGrid::zone_of`]: any zone whose closed rectangle
+    /// contains `p` covers one of the 3 × 3 cells around `(cx, cy)`.
+    #[cold]
+    fn zone_near_edge(&self, p: Point, cx: usize, cy: usize, zones: &[Zone]) -> usize {
+        let mut best = zones.len();
+        for y in cy.saturating_sub(1)..=(cy + 1).min(self.rows - 1) {
+            for x in cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1) {
+                let zi = self.cell_zone[y * self.cols + x] as usize;
+                if zi < best && zones[zi].rect.contains(p) {
+                    best = zi;
+                }
+            }
+        }
+        best
+    }
+}
+
 /// Reusable buffers for one [`SwapMovement::propose`] call.
 #[derive(Debug, Clone, Default)]
 struct ProposeScratch {
+    /// Routers per zone rank, plus a last slot for routers in no zone.
     routers_per_zone: Vec<usize>,
     dense_pool: Vec<usize>,
     sparse_pool: Vec<usize>,
@@ -226,15 +346,24 @@ impl SwapMovement {
         let cells = config.cells.max(1);
         let client_map =
             DensityMap::from_points(&instance.area(), &instance.client_positions(), cells, cells);
-        let ranked_zones = client_map.ranked_disjoint_windows(
+        let windows = client_map.ranked_disjoint_windows(
             config.window_cells,
             config.window_cells,
             usize::MAX,
         );
+        let zones = windows
+            .iter()
+            .map(|w| Zone {
+                rect: client_map.window_rect(w),
+                clients: client_map.window_count(w),
+            })
+            .collect();
         SwapMovement {
             config,
-            client_map,
-            ranked_zones,
+            area: client_map.area(),
+            total_clients: client_map.total(),
+            zones,
+            grid: ZoneGrid::new(&client_map, &windows),
             scratch: RefCell::new(ProposeScratch::default()),
         }
     }
@@ -272,12 +401,11 @@ impl SwapMovement {
     }
 
     fn fallback_random(&self, topo: &WmnTopology, rng: &mut dyn RngCore) -> MoveAction {
-        let area = self.client_map.area();
         MoveAction::Relocate {
             router: RouterId(rng.gen_range(0..topo.router_count())),
             to: Point::new(
-                rng.gen_range(0.0..=area.width()),
-                rng.gen_range(0.0..=area.height()),
+                rng.gen_range(0.0..=self.area.width()),
+                rng.gen_range(0.0..=self.area.height()),
             ),
         }
     }
@@ -299,36 +427,29 @@ impl Movement for SwapMovement {
             non_giant,
         } = &mut *scratch;
 
-        // Current router occupancy per zone (zones are disjoint, so each
-        // router maps to at most one).
+        // Current router occupancy per zone, in one pass over the routers;
+        // routers in no zone fall into the last slot.
         routers_per_zone.clear();
-        routers_per_zone.resize(self.ranked_zones.len(), 0);
+        routers_per_zone.resize(self.zones.len() + 1, 0);
         for i in 0..topo.router_count() {
-            let p = topo.position(RouterId(i));
-            for (zi, z) in self.ranked_zones.iter().enumerate() {
-                if self.client_map.window_rect(z).contains(p) {
-                    routers_per_zone[zi] += 1;
-                    break;
-                }
-            }
+            routers_per_zone[self.grid.zone_of(topo.position(RouterId(i)), &self.zones)] += 1;
         }
+        let routers_per_zone = &routers_per_zone[..self.zones.len()];
 
         // The paper's "dense threshold", operationalized as a router
         // deficit: a dense zone keeps attracting routers while it holds
         // fewer than clients/kappa of them (kappa = clients per router in
         // the whole instance). Zones are examined in client-count order, so
         // the densest under-served zone ranks first.
-        let total_clients: f64 = self.client_map.total() as f64;
-        let kappa = (total_clients / topo.router_count() as f64).max(1.0);
+        let kappa = (self.total_clients as f64 / topo.router_count() as f64).max(1.0);
         dense_pool.clear();
         let dense_cap = self.config.dense_candidates.max(1);
-        for (zi, &occupancy) in routers_per_zone.iter().enumerate() {
+        for (zi, (zone, &occupancy)) in self.zones.iter().zip(routers_per_zone).enumerate() {
             if dense_pool.len() == dense_cap {
                 break;
             }
-            let clients = self.client_map.window_count(&self.ranked_zones[zi]);
-            if clients >= self.config.dense_threshold.max(1)
-                && (clients as f64) / kappa > occupancy as f64
+            if zone.clients >= self.config.dense_threshold.max(1)
+                && (zone.clients as f64) / kappa > occupancy as f64
             {
                 dense_pool.push(zi);
             }
@@ -341,24 +462,24 @@ impl Movement for SwapMovement {
         let dense_zi = if relocate_mode {
             *pick(dense_pool, rng).expect("nonempty pool")
         } else {
-            match (0..self.ranked_zones.len()).find(|&zi| routers_per_zone[zi] > 0) {
+            match routers_per_zone.iter().position(|&n| n > 0) {
                 Some(zi) => zi,
                 None => return self.fallback_random(topo, rng),
             }
         };
-        let dense_rect = self.client_map.window_rect(&self.ranked_zones[dense_zi]);
+        let dense = self.zones[dense_zi];
+        let dense_rect = dense.rect;
 
         // Step 5 of Algorithm 3: the sparsest zones that still hold a
         // router to take the strong one from (never the dense zone itself).
         sparse_pool.clear();
         let sparse_cap = self.config.sparse_candidates.max(1);
-        for zi in (0..self.ranked_zones.len()).rev() {
+        for zi in (0..self.zones.len()).rev() {
             if sparse_pool.len() == sparse_cap {
                 break;
             }
             if zi != dense_zi
-                && self.client_map.window_count(&self.ranked_zones[zi])
-                    <= self.config.sparse_threshold
+                && self.zones[zi].clients <= self.config.sparse_threshold
                 && routers_per_zone[zi] > 0
             {
                 sparse_pool.push(zi);
@@ -370,18 +491,16 @@ impl Movement for SwapMovement {
         // A "sparse" zone at least as client-heavy as the dense target means
         // the zone structure is degenerate; fall back rather than swap
         // backwards.
-        if self.client_map.window_count(&self.ranked_zones[sparse_zi])
-            > self.client_map.window_count(&self.ranked_zones[dense_zi])
-        {
+        let sparse = self.zones[sparse_zi];
+        if sparse.clients > dense.clients {
             return self.fallback_random(topo, rng);
         }
-        let sparse_rect = self.client_map.window_rect(&self.ranked_zones[sparse_zi]);
 
         // Step 6: most powerful router within the sparse area. In relocate
         // mode prefer a router *outside* the giant component — pulling a
         // giant member out would tear down the connectivity the move is
         // meant to build.
-        self.routers_into(topo, &sparse_rect, sparse_routers);
+        self.routers_into(topo, &sparse.rect, sparse_routers);
         let strong = if relocate_mode {
             non_giant.clear();
             non_giant.extend(
