@@ -1,12 +1,12 @@
-//! Serial vs parallel `run_table` on the experiment runtime: the scaling
+//! Serial vs parallel `run_ga_batch` on the experiment runtime: the scaling
 //! evidence for the deterministic worker pool. Output is bit-identical at
 //! every thread count (asserted by `wmn-experiments`' determinism tests);
 //! these benches track how much wall clock the parallel grid actually
 //! saves at quick scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use wmn_experiments::batch::run_ga_batch;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
-use wmn_experiments::tables::run_table;
 use wmn_runtime::Runtime;
 
 fn bench_config(runner_threads: usize) -> ExperimentConfig {
@@ -32,7 +32,10 @@ fn bench_runtime_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| run_table(Scenario::Normal, &bench_config(threads)).expect("table runs"));
+                b.iter(|| {
+                    run_ga_batch(Scenario::Normal, &bench_config(threads), None)
+                        .expect("batch runs")
+                });
             },
         );
     }

@@ -1,11 +1,12 @@
 //! One benchmark per paper table: the cost of regenerating Table N at
-//! reduced scale (the full-scale regeneration is `cargo run --release -p
-//! wmn-experiments --bin run_all`; these benches track the per-table code
-//! path's performance over time).
+//! reduced scale — the scenario's GA batch, which yields Figure N from the
+//! same runs (the full-scale regeneration is `cargo run --release -p
+//! wmn-experiments --bin run_all`; these benches track the batch's
+//! performance over time).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use wmn_experiments::batch::run_ga_batch;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
-use wmn_experiments::tables::run_table;
 
 fn bench_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -22,7 +23,7 @@ fn bench_tables(c: &mut Criterion) {
     for scenario in Scenario::paper_tables() {
         let n = scenario.table_number().expect("paper scenario");
         group.bench_function(format!("table{n}_{scenario}"), |b| {
-            b.iter(|| run_table(scenario, &bench_config()).expect("table runs"));
+            b.iter(|| run_ga_batch(scenario, &bench_config(), None).expect("table runs"));
         });
     }
     group.finish();

@@ -8,9 +8,16 @@
 //! WMN_THREADS=2 cargo run --release -p wmn-experiments --bin run_all -- --quick
 //! ```
 //!
+//! # One GA batch per scenario
+//!
+//! Table N and Figure N report the same seven GA runs (as in the paper),
+//! so each scenario runs one GA batch (`wmn_experiments::batch`) and
+//! writes both artifacts from it: every `(scenario, method)` GA runs
+//! exactly once. The batch is timed under the `run_all.table` span.
+//!
 //! # Parallelism & determinism
 //!
-//! Every artifact's grid cells (one per ad hoc method, or per movement for
+//! Every batch's grid cells (one per ad hoc method, or per movement for
 //! Figure 4) execute on the `wmn-runtime` worker pool. `--threads <n>` (or
 //! `WMN_THREADS`) picks the worker count; the default `0` uses one worker
 //! per core. Because each cell's RNG seed is derived from its grid
@@ -20,8 +27,8 @@
 //! paper's 64/192/128×128 family are reachable via `--scale`
 //! (`--scale-routers` / `--scale-clients` / `--scale-area`).
 //!
-//! With `--telemetry <dir>` the whole run's work-counter profile (every
-//! table, GA figure, and the search figure summed) lands in one
+//! With `--telemetry <dir>` the whole run's work-counter profile (the
+//! three GA batches and the search figure summed) lands in one
 //! `telemetry.json` + `spans.jsonl` pair — also byte-identical for every
 //! thread count, since the per-job recorders merge in job-index order.
 //!
@@ -30,22 +37,27 @@
 //! Every run maintains `checkpoint.jsonl` in the output directory: one
 //! line per completed cell (table1–3, fig1–4), written after that cell's
 //! artifacts land on disk. `--resume <dir>` reloads it (validating that
-//! the configuration fingerprint matches) and skips completed cells, so
+//! the configuration fingerprint matches) and skips completed work, so
 //! an interrupted long run finishes the remaining work and produces a
-//! byte-identical output directory. Thread counts are excluded from the
-//! fingerprint — a run may be resumed with a different `--threads`.
+//! byte-identical output directory. A scenario's GA batch is skipped
+//! only when both `table{n}` and `fig{n}` are in the checkpoint;
+//! otherwise it runs once and writes whichever of the two is missing
+//! (e.g. after the `table1` or `fig1` binary alone checkpointed one).
+//! Checkpoint lines are kept in artifact order, so the resumed
+//! directory's `checkpoint.jsonl` matches a clean run's too. Thread
+//! counts are excluded from the fingerprint — a run may be resumed with
+//! a different `--threads`.
 
 use std::process::ExitCode;
 use std::time::Instant;
+use wmn_experiments::batch::{run_ga_batch, GaBatch};
 use wmn_experiments::checkpoint::{CellDone, Checkpoint};
 use wmn_experiments::cli::{self, CliOptions};
 use wmn_experiments::error::ExperimentError;
-use wmn_experiments::figures::{
-    run_ga_figure, run_ga_figure_recorded, run_ns_figure, run_ns_figure_recorded,
-};
+use wmn_experiments::figures::run_ns_figure;
 use wmn_experiments::report::{write_ga_figure, write_ns_figure, write_summary, write_table};
 use wmn_experiments::scenario::Scenario;
-use wmn_experiments::tables::{run_table, run_table_recorded, TableResult};
+use wmn_experiments::tables::TableResult;
 use wmn_experiments::telemetry;
 
 fn main() -> ExitCode {
@@ -65,70 +77,71 @@ fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
     for scenario in Scenario::paper_tables() {
         let n = scenario.table_number().expect("paper scenario");
         let table_cell = format!("table{n}");
-        let table = match checkpoint.table(&table_cell) {
-            Some(done) => {
-                println!("{table_cell} ({scenario}): complete in checkpoint, skipped");
-                done.clone()
+        let fig_cell = format!("fig{n}");
+        let skipped = |cell: &str| println!("{cell} ({scenario}): complete in checkpoint, skipped");
+        let table = match (
+            checkpoint.table(&table_cell).cloned(),
+            checkpoint.contains(&fig_cell),
+        ) {
+            (Some(done), true) => {
+                skipped(&table_cell);
+                skipped(&fig_cell);
+                done
             }
-            None => {
+            (done_table, fig_done) => {
                 let started = Instant::now();
-                let table = match recorder.as_mut() {
-                    Some(rec) => run_table_recorded(scenario, &opts.config, rec)?,
-                    None => run_table(scenario, &opts.config)?,
-                };
+                let GaBatch { table, figure } =
+                    run_ga_batch(scenario, &opts.config, recorder.as_mut())?;
                 telemetry::finish_span(&mut recorder, "run_all.table", started);
-                write_table(&opts.out_dir, &table)?;
-                checkpoint.record(CellDone {
-                    cell: table_cell.clone(),
-                    files: vec![format!("table{n}.md"), format!("table{n}.csv")],
-                    table: Some(table.clone()),
-                })?;
-                println!(
-                    "{table_cell} ({scenario}): done in {:.1?}; best GA method = {}",
-                    started.elapsed(),
-                    table.best_ga_method().map(|m| m.name()).unwrap_or("n/a")
-                );
+                let elapsed = started.elapsed();
+                let table = match done_table {
+                    Some(done) => {
+                        skipped(&table_cell);
+                        done
+                    }
+                    None => {
+                        write_table(&opts.out_dir, &table)?;
+                        checkpoint.record(CellDone {
+                            cell: table_cell.clone(),
+                            files: vec![format!("table{n}.md"), format!("table{n}.csv")],
+                            table: Some(table.clone()),
+                        })?;
+                        println!(
+                            "{table_cell} ({scenario}): done in {elapsed:.1?}; best GA method = {}",
+                            table.best_ga_method().map(|m| m.name()).unwrap_or("n/a")
+                        );
+                        table
+                    }
+                };
+                if fig_done {
+                    skipped(&fig_cell);
+                } else {
+                    write_ga_figure(&opts.out_dir, &figure)?;
+                    checkpoint.record(CellDone {
+                        cell: fig_cell.clone(),
+                        files: vec![
+                            format!("fig{n}.csv"),
+                            format!("fig{n}.jsonl"),
+                            format!("fig{n}.txt"),
+                        ],
+                        table: None,
+                    })?;
+                    println!(
+                        "{fig_cell} ({scenario}): done in {elapsed:.1?}; best final curve = {}",
+                        figure.best_final_method().unwrap_or("n/a")
+                    );
+                }
                 table
             }
         };
         tables.push(table);
-
-        let fig_cell = format!("fig{n}");
-        if checkpoint.contains(&fig_cell) {
-            println!("{fig_cell} ({scenario}): complete in checkpoint, skipped");
-        } else {
-            let started = Instant::now();
-            let fig = match recorder.as_mut() {
-                Some(rec) => run_ga_figure_recorded(scenario, &opts.config, rec)?,
-                None => run_ga_figure(scenario, &opts.config)?,
-            };
-            telemetry::finish_span(&mut recorder, "run_all.ga_figure", started);
-            write_ga_figure(&opts.out_dir, &fig)?;
-            checkpoint.record(CellDone {
-                cell: fig_cell.clone(),
-                files: vec![
-                    format!("fig{n}.csv"),
-                    format!("fig{n}.jsonl"),
-                    format!("fig{n}.txt"),
-                ],
-                table: None,
-            })?;
-            println!(
-                "{fig_cell} ({scenario}): done in {:.1?}; best final curve = {}",
-                started.elapsed(),
-                fig.best_final_method().unwrap_or("n/a")
-            );
-        }
     }
 
     if checkpoint.contains("fig4") {
         println!("fig4: complete in checkpoint, skipped");
     } else {
         let started = Instant::now();
-        let ns = match recorder.as_mut() {
-            Some(rec) => run_ns_figure_recorded(&opts.config, rec)?,
-            None => run_ns_figure(&opts.config)?,
-        };
+        let ns = run_ns_figure(&opts.config, recorder.as_mut())?;
         telemetry::finish_span(&mut recorder, "run_all.ns_figure", started);
         write_ns_figure(&opts.out_dir, &ns)?;
         checkpoint.record(CellDone {

@@ -59,6 +59,22 @@ pub fn fingerprint(config: &ExperimentConfig) -> String {
     format!("{:016x}", fnv1a64(config_json(config).as_bytes()))
 }
 
+/// The rank of `cell` in a complete `run_all`'s artifact order: by paper
+/// number, `table{n}` before `fig{n}`, unknown names last. Entries are
+/// kept in this order whatever order the cells completed in, so a
+/// directory finished by `--resume` carries the same checkpoint bytes as
+/// an uninterrupted run's, whichever binary checkpointed first.
+fn cell_order(cell: &str) -> (usize, u8) {
+    let (number, kind) = if let Some(n) = cell.strip_prefix("table") {
+        (n, 0)
+    } else if let Some(n) = cell.strip_prefix("fig") {
+        (n, 1)
+    } else {
+        return (usize::MAX, 2);
+    };
+    number.parse().map_or((usize::MAX, 2), |n| (n, kind))
+}
+
 /// One completed cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellDone {
@@ -154,6 +170,7 @@ impl Checkpoint {
                 .map_err(|detail| bad(format!("line {}: {detail}", lineno + 1)))?;
             entries.push(entry);
         }
+        entries.sort_by_key(|e| cell_order(&e.cell));
         Ok(Checkpoint {
             path,
             fingerprint: expected,
@@ -174,16 +191,19 @@ impl Checkpoint {
             .and_then(|e| e.table.as_ref())
     }
 
-    /// Records a completed cell and atomically rewrites the checkpoint
-    /// file. Re-recording an already-present cell (a resumed run
-    /// re-confirming a skipped cell) is a no-op.
+    /// Records a completed cell (in artifact order, see [`cell_order`])
+    /// and atomically rewrites the checkpoint file. Re-recording an
+    /// already-present cell (a resumed run re-confirming a skipped cell)
+    /// is a no-op.
     ///
     /// # Errors
     ///
     /// Propagates the atomic file write, naming the checkpoint path.
     pub fn record(&mut self, entry: CellDone) -> Result<(), ExperimentError> {
         if !self.contains(&entry.cell) {
-            self.entries.push(entry);
+            let key = cell_order(&entry.cell);
+            let at = self.entries.partition_point(|e| cell_order(&e.cell) <= key);
+            self.entries.insert(at, entry);
         }
         write_file(&self.path, &self.render())
     }
@@ -334,7 +354,7 @@ fn parse_row(value: &JsonValue) -> Result<TableRow, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::run_table;
+    use crate::batch::run_ga_batch;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -359,7 +379,7 @@ mod tests {
     fn record_then_load_roundtrips_table_payloads() {
         let dir = tmpdir("roundtrip");
         let config = ExperimentConfig::quick();
-        let table = run_table(Scenario::Normal, &config).unwrap();
+        let table = run_ga_batch(Scenario::Normal, &config, None).unwrap().table;
 
         let mut cp = Checkpoint::start(&dir, &config);
         cp.record(CellDone {
@@ -431,6 +451,39 @@ mod tests {
         std::fs::write(Checkpoint::file(&dir), "not json\n").unwrap();
         assert!(Checkpoint::load(&dir, &config).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cells_render_in_artifact_order_whatever_the_completion_order() {
+        let config = ExperimentConfig::quick();
+        let entry = |cell: &str| CellDone {
+            cell: cell.to_owned(),
+            files: vec![],
+            table: None,
+        };
+        let (dir_a, dir_b) = (tmpdir("order-a"), tmpdir("order-b"));
+        let mut in_order = Checkpoint::start(&dir_a, &config);
+        for cell in ["table1", "fig1", "table2", "fig2", "fig4"] {
+            in_order.record(entry(cell)).unwrap();
+        }
+        let mut shuffled = Checkpoint::start(&dir_b, &config);
+        for cell in ["fig4", "fig1", "fig2", "table2", "table1"] {
+            shuffled.record(entry(cell)).unwrap();
+        }
+        assert_eq!(shuffled.render(), in_order.render());
+        // A file written out of order loads back in artifact order.
+        let rendered = in_order.render();
+        let lines: Vec<&str> = rendered.lines().collect();
+        std::fs::write(
+            Checkpoint::file(&dir_b),
+            format!("{}\n{}\n", lines[1], lines[0]),
+        )
+        .unwrap();
+        let loaded = Checkpoint::load(&dir_b, &config).unwrap();
+        assert_eq!(loaded.render(), format!("{}\n{}\n", lines[0], lines[1]));
+        for dir in [dir_a, dir_b] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

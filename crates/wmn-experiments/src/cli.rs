@@ -16,7 +16,8 @@
 //!   individual multipliers (`WMN_SCALE_ROUTERS` / `WMN_SCALE_CLIENTS` /
 //!   `WMN_SCALE_AREA`; counts `≥ 1`, area positive and finite). Invalid
 //!   multipliers are rejected at parse time, naming the flag or variable.
-//! * `--ns-budget <n>` — neighbors sampled per search phase.
+//! * `--ns-budget <n>` — neighbors sampled per search phase (`n ≥ 1`;
+//!   0 is rejected at parse time, naming the flag).
 //! * `--connectivity <mode>` — connectivity repair strategy
 //!   (`WMN_CONNECTIVITY`): `dynamic` (default), `rescan` (whole-graph DSU
 //!   rescan oracle), or `full` (full-rebuild reference pipeline). Results
@@ -79,10 +80,11 @@ fn fault_plan(value: &str) -> Result<wmn_runtime::FaultPlan, String> {
     wmn_runtime::FaultPlan::parse(value).map_err(|e| format!("bad fault plan: {e}"))
 }
 
-/// Rejects a zero router or client multiplier (shared by the flag and env
-/// paths; `name` is the flag or variable, for the message).
-fn count_multiplier(name: &str, n: u32) -> Result<u32, String> {
-    if n == 0 {
+/// Rejects a zero count — a router or client multiplier, or the search
+/// budget (shared by the flag and env paths; `name` is the flag or
+/// variable, for the message).
+fn positive_count<T: PartialEq + From<u8>>(name: &str, n: T) -> Result<T, String> {
+    if n == T::from(0) {
         Err(format!("{name} must be at least 1, got 0"))
     } else {
         Ok(n)
@@ -109,8 +111,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
 ///
 /// # Errors
 ///
-/// Returns a usage message on unknown flags, malformed numbers or invalid
-/// scale multipliers.
+/// Returns a usage message on unknown flags, malformed numbers, invalid
+/// scale multipliers or a zero `--ns-budget`.
 pub fn parse_from<I: IntoIterator<Item = String>>(
     base: ExperimentConfig,
     args: I,
@@ -131,22 +133,25 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
                 config.threads = parse_num::<usize>("--ga-threads", it.next())?.max(1);
             }
             "--scale" => {
-                let n = count_multiplier("--scale", parse_num("--scale", it.next())?)?;
+                let n = positive_count("--scale", parse_num("--scale", it.next())?)?;
                 config.scale = ScenarioScale::proportional(n);
             }
             "--scale-routers" => {
                 let n = parse_num("--scale-routers", it.next())?;
-                config.scale.routers = count_multiplier("--scale-routers", n)?;
+                config.scale.routers = positive_count("--scale-routers", n)?;
             }
             "--scale-clients" => {
                 let n = parse_num("--scale-clients", it.next())?;
-                config.scale.clients = count_multiplier("--scale-clients", n)?;
+                config.scale.clients = positive_count("--scale-clients", n)?;
             }
             "--scale-area" => {
                 let x = parse_num("--scale-area", it.next())?;
                 config.scale.area = area_multiplier("--scale-area", x)?;
             }
-            "--ns-budget" => config.ns_budget = parse_num("--ns-budget", it.next())?,
+            "--ns-budget" => {
+                let n = parse_num("--ns-budget", it.next())?;
+                config.ns_budget = positive_count("--ns-budget", n)?;
+            }
             "--connectivity" => {
                 let v = it.next().ok_or("--connectivity needs a value")?;
                 config.connectivity = connectivity_mode(&v)?;
@@ -226,13 +231,13 @@ pub fn config_from_vars(
         config.threads = n.max(1);
     }
     if let Some(n) = num(&lookup, "WMN_SCALE")? {
-        config.scale = ScenarioScale::proportional(count_multiplier("WMN_SCALE", n)?);
+        config.scale = ScenarioScale::proportional(positive_count("WMN_SCALE", n)?);
     }
     if let Some(n) = num(&lookup, "WMN_SCALE_ROUTERS")? {
-        config.scale.routers = count_multiplier("WMN_SCALE_ROUTERS", n)?;
+        config.scale.routers = positive_count("WMN_SCALE_ROUTERS", n)?;
     }
     if let Some(n) = num(&lookup, "WMN_SCALE_CLIENTS")? {
-        config.scale.clients = count_multiplier("WMN_SCALE_CLIENTS", n)?;
+        config.scale.clients = positive_count("WMN_SCALE_CLIENTS", n)?;
     }
     if let Some(x) = num(&lookup, "WMN_SCALE_AREA")? {
         config.scale.area = area_multiplier("WMN_SCALE_AREA", x)?;
@@ -460,6 +465,21 @@ mod tests {
                 "{name}={value}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn rejects_zero_ns_budget_naming_the_flag() {
+        // Zero would only fail inside Figure 4's search jobs, after every
+        // GA batch had already run.
+        let err = parse_from(
+            ExperimentConfig::quick(),
+            ["--ns-budget".to_owned(), "0".to_owned()],
+        )
+        .unwrap_err();
+        assert_eq!(err, "--ns-budget must be at least 1, got 0");
+        let opts = parse_vec(&["--ns-budget", "1"]).unwrap();
+        assert_eq!(opts.config.ns_budget, 1);
+        assert!(parse_vec(&["--ns-budget", "-1"]).is_err());
     }
 
     #[test]

@@ -2,24 +2,22 @@
 //!
 //! Figures 1–3: evolution of the giant component size over GA generations,
 //! one curve per ad hoc initialization method, for the Normal, Exponential
-//! and Weibull scenarios. Figure 4: evolution of the giant component over
+//! and Weibull scenarios — the figure view of the scenario's GA batch
+//! ([`crate::batch::run_ga_batch`]), which also yields Table N from the
+//! same runs. Figure 4: evolution of the giant component over
 //! neighborhood search phases, swap versus random movement, on the Normal
 //! scenario.
 
+use crate::batch::run_isolated;
 use crate::error::ExperimentError;
 use crate::scenario::{ExperimentConfig, Scenario};
-use crate::tables::{
-    cell_failure, experiment_ga_config, ga_cell, ga_cell_label, report_chaos, sabotaged_ga_config,
-};
-use wmn_ga::engine::{GaConfig, GaEngine};
-use wmn_ga::init::PopulationInit;
 use wmn_graph::topology::DegradationPolicy;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_metrics::stats::Trace;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::placement::Placement;
 use wmn_model::ModelError;
-use wmn_obs::{NoopRecorder, Recorder, RobustnessStats, TelemetryRecorder};
+use wmn_obs::{Recorder, TelemetryRecorder};
 use wmn_placement::registry::AdHocMethod;
 use wmn_runtime::grid::{domain, Cell};
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
@@ -62,132 +60,6 @@ impl GaFigure {
     }
 }
 
-/// Runs one GA-evolution figure: one GA per ad hoc method, recording the
-/// per-generation best giant component size. Method curves run on the
-/// panic-isolated executor, so the figure — like the tables — is
-/// byte-identical under any within-budget fault plan.
-///
-/// # Errors
-///
-/// Propagates instance generation failures, and reports the
-/// lowest-indexed grid cell that exhausted its retry budget
-/// ([`ExperimentError::Cell`]).
-pub fn run_ga_figure(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-) -> Result<GaFigure, ExperimentError> {
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
-
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
-    let mut stats = RobustnessStats::default();
-    let series = config
-        .runtime()
-        .try_execute_isolated(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            |ctx, (mi, method)| {
-                ga_figure_job(
-                    scenario,
-                    config,
-                    &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
-                    *mi,
-                    *method,
-                    &mut NoopRecorder,
-                )
-            },
-        )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    report_chaos(&ga_figure_context(scenario), &stats);
-    Ok(GaFigure {
-        scenario,
-        series: series?,
-    })
-}
-
-/// The chaos-report context of a GA figure run.
-fn ga_figure_context(scenario: Scenario) -> String {
-    scenario
-        .table_number()
-        .map_or_else(|| format!("fig-{scenario}"), |n| format!("fig{n}"))
-}
-
-/// Like [`run_ga_figure`], additionally collecting the run's work-counter
-/// telemetry into `recorder`. Per-attempt recorders merge in job-index
-/// order, succeeding attempts only (see `wmn-runtime`), so the aggregated
-/// counters are byte-identical for every worker count and any
-/// within-budget fault plan; the figure itself equals
-/// [`run_ga_figure`]'s exactly.
-///
-/// # Errors
-///
-/// Exactly as [`run_ga_figure`].
-pub fn run_ga_figure_recorded(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-    recorder: &mut TelemetryRecorder,
-) -> Result<GaFigure, ExperimentError> {
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
-
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
-    let mut stats = RobustnessStats::default();
-    let series = config
-        .runtime()
-        .try_execute_isolated_recorded(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            recorder,
-            |ctx, (mi, method), rec| {
-                ga_figure_job(
-                    scenario,
-                    config,
-                    &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
-                    *mi,
-                    *method,
-                    rec,
-                )
-            },
-        )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    report_chaos(&ga_figure_context(scenario), &stats);
-    Ok(GaFigure {
-        scenario,
-        series: series?,
-    })
-}
-
-/// One figure curve: the GA run for one ad hoc method, on the same grid
-/// cell as the tables, so Figure N and Table N report the same runs (as in
-/// the paper).
-fn ga_figure_job(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-    evaluator: &Evaluator<'_>,
-    ga_config: &GaConfig,
-    method_index: usize,
-    method: AdHocMethod,
-    recorder: &mut dyn Recorder,
-) -> Result<Trace, ModelError> {
-    let mut rng = ga_cell(scenario, method_index, method).rng(config.run_seed);
-    let engine = GaEngine::new(evaluator, ga_config.clone());
-    let outcome = engine.run_recorded(&PopulationInit::AdHoc(method), &mut rng, recorder)?;
-    Ok(outcome
-        .trace
-        .giant_series(method.name())
-        .downsampled(config.sample_every.max(1)))
-}
-
 /// A reproduced Figure 4: neighborhood search evolution, swap vs random.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NsFigure {
@@ -205,47 +77,48 @@ impl NsFigure {
 }
 
 /// Runs Figure 4: neighborhood search with swap and random movements from
-/// the same random initial placement on the Normal scenario.
+/// the same random initial placement on the Normal scenario. Swap and
+/// random are the two cells of the Figure 4 grid; they run in parallel on
+/// the experiment runtime's panic-isolated executor. With a `recorder`,
+/// the searches' work-counter telemetry (`search.ns.*` plus the engine
+/// deltas) is collected into it; the figure is the same either way.
 ///
 /// # Errors
 ///
-/// Propagates instance generation and evaluation failures (none occur for
-/// the built-in configuration).
-pub fn run_ns_figure(config: &ExperimentConfig) -> Result<NsFigure, ExperimentError> {
+/// Propagates instance generation failures, and reports the grid cell
+/// that exhausted its retry budget ([`ExperimentError::Cell`]).
+pub fn run_ns_figure(
+    config: &ExperimentConfig,
+    recorder: Option<&mut TelemetryRecorder>,
+) -> Result<NsFigure, ExperimentError> {
     let scenario = Scenario::Normal;
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
     let initial = ns_initial_placement(config, scenario, &instance);
 
-    // Swap and random are the two cells of the Figure 4 grid; they run in
-    // parallel on the experiment runtime's panic-isolated executor.
     let jobs: Vec<(u64, &str)> = vec![(0, "Swap"), (1, "Random")];
-    let mut stats = RobustnessStats::default();
-    let traces = config
-        .runtime()
-        .try_execute_isolated(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            |ctx, (movement_id, label)| {
-                ns_job(
-                    scenario,
-                    config,
-                    &instance,
-                    &evaluator,
-                    &initial,
-                    *movement_id,
-                    label,
-                    ctx.sabotage,
-                    &mut NoopRecorder,
-                )
-                .map(|trace| trace.giant_series(*label))
-            },
-        )
-        .map_err(|f| cell_failure(ns_cell_label(f.index), f));
-    report_chaos("fig4", &stats);
-    let mut traces = traces?.into_iter();
+    let traces = run_isolated(
+        config,
+        jobs,
+        "fig4",
+        ns_cell_label,
+        recorder,
+        |ctx, (movement_id, label), rec| {
+            ns_job(
+                scenario,
+                config,
+                &instance,
+                &evaluator,
+                &initial,
+                *movement_id,
+                label,
+                ctx.sabotage,
+                rec,
+            )
+            .map(|trace| trace.giant_series(*label))
+        },
+    )?;
+    let mut traces = traces.into_iter();
     let (swap, random) = (
         traces.next().expect("swap trace"),
         traces.next().expect("random trace"),
@@ -259,58 +132,6 @@ fn ns_cell_label(index: usize) -> String {
         0 => "ns-Swap".to_owned(),
         _ => "ns-Random".to_owned(),
     }
-}
-
-/// Like [`run_ns_figure`], additionally collecting the searches'
-/// work-counter telemetry (`search.ns.*` plus the engine deltas) into
-/// `recorder`; the figure itself equals [`run_ns_figure`]'s exactly.
-///
-/// # Errors
-///
-/// Propagates instance generation and evaluation failures, exactly as
-/// [`run_ns_figure`].
-pub fn run_ns_figure_recorded(
-    config: &ExperimentConfig,
-    recorder: &mut TelemetryRecorder,
-) -> Result<NsFigure, ExperimentError> {
-    let scenario = Scenario::Normal;
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let initial = ns_initial_placement(config, scenario, &instance);
-
-    let jobs: Vec<(u64, &str)> = vec![(0, "Swap"), (1, "Random")];
-    let mut stats = RobustnessStats::default();
-    let traces = config
-        .runtime()
-        .try_execute_isolated_recorded(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            recorder,
-            |ctx, (movement_id, label), rec| {
-                ns_job(
-                    scenario,
-                    config,
-                    &instance,
-                    &evaluator,
-                    &initial,
-                    *movement_id,
-                    label,
-                    ctx.sabotage,
-                    rec,
-                )
-                .map(|trace| trace.giant_series(*label))
-            },
-        )
-        .map_err(|f| cell_failure(ns_cell_label(f.index), f));
-    report_chaos("fig4", &stats);
-    let mut traces = traces?.into_iter();
-    let (swap, random) = (
-        traces.next().expect("swap trace"),
-        traces.next().expect("random trace"),
-    );
-    Ok(NsFigure { swap, random })
 }
 
 /// The shared random starting point of both Figure 4 searches ("client
@@ -376,10 +197,18 @@ fn ns_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::run_ga_batch;
+    use wmn_obs::NoopRecorder;
+
+    fn quick_ga_figure(scenario: Scenario) -> GaFigure {
+        run_ga_batch(scenario, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .figure
+    }
 
     #[test]
     fn ga_figure_has_one_series_per_method() {
-        let fig = run_ga_figure(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
+        let fig = quick_ga_figure(Scenario::Normal);
         assert_eq!(fig.series.len(), 7);
         assert_eq!(fig.figure_number(), Some(1));
         for t in &fig.series {
@@ -398,7 +227,7 @@ mod tests {
         // Elitism means the best-of-generation giant size never regresses
         // in fitness; the giant component of the best individual may wiggle
         // slightly (fitness mixes coverage), so allow small dips.
-        let fig = run_ga_figure(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
+        let fig = quick_ga_figure(Scenario::Normal);
         for t in &fig.series {
             let first = t.points().first().unwrap().1;
             let last = t.points().last().unwrap().1;
@@ -414,7 +243,7 @@ mod tests {
     fn ns_figure_swap_beats_random() {
         // The paper's Figure 4 claim: swap reaches a higher giant component
         // within the phase budget.
-        let fig = run_ns_figure(&ExperimentConfig::quick()).unwrap();
+        let fig = run_ns_figure(&ExperimentConfig::quick(), None).unwrap();
         assert_eq!(fig.swap.len(), ExperimentConfig::quick().ns_phases);
         let swap_final = fig.swap.last_y().unwrap();
         let random_final = fig.random.last_y().unwrap();
@@ -472,7 +301,7 @@ mod tests {
 
     #[test]
     fn ns_series_start_from_the_same_value() {
-        let fig = run_ns_figure(&ExperimentConfig::quick()).unwrap();
+        let fig = run_ns_figure(&ExperimentConfig::quick(), None).unwrap();
         // Phase 1 values may already differ (one accepted move), but both
         // searches share the same initial placement, so the first recorded
         // giant size can differ by at most what one move can change; sanity
@@ -484,8 +313,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_config() {
-        let a = run_ns_figure(&ExperimentConfig::quick()).unwrap();
-        let b = run_ns_figure(&ExperimentConfig::quick()).unwrap();
+        let a = run_ns_figure(&ExperimentConfig::quick(), None).unwrap();
+        let b = run_ns_figure(&ExperimentConfig::quick(), None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -493,16 +322,18 @@ mod tests {
     fn recorded_figures_match_plain_and_collect_counters() {
         let config = ExperimentConfig::quick();
         let mut recorder = TelemetryRecorder::new();
-        let ga = run_ga_figure_recorded(Scenario::Normal, &config, &mut recorder).unwrap();
-        assert_eq!(ga, run_ga_figure(Scenario::Normal, &config).unwrap());
+        let ga = run_ga_batch(Scenario::Normal, &config, Some(&mut recorder))
+            .unwrap()
+            .figure;
+        assert_eq!(ga, quick_ga_figure(Scenario::Normal));
         assert_eq!(
             recorder.counters().get("ga.generations"),
             Some(&((7 * config.generations) as u64))
         );
 
         let mut ns_recorder = TelemetryRecorder::new();
-        let ns = run_ns_figure_recorded(&config, &mut ns_recorder).unwrap();
-        assert_eq!(ns, run_ns_figure(&config).unwrap());
+        let ns = run_ns_figure(&config, Some(&mut ns_recorder)).unwrap();
+        assert_eq!(ns, run_ns_figure(&config, None).unwrap());
         // Two searches of `ns_phases` each.
         assert_eq!(
             ns_recorder.counters().get("search.ns.phases"),

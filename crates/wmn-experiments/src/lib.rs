@@ -2,13 +2,18 @@
 //!
 //! | Artifact | Runner | Binary |
 //! |---|---|---|
-//! | Table 1 (Normal) | [`tables::run_table`] | `table1` |
-//! | Table 2 (Exponential) | [`tables::run_table`] | `table2` |
-//! | Table 3 (Weibull) | [`tables::run_table`] | `table3` |
-//! | Figure 1 (GA evolution, Normal) | [`figures::run_ga_figure`] | `fig1` |
-//! | Figure 2 (GA evolution, Exponential) | [`figures::run_ga_figure`] | `fig2` |
-//! | Figure 3 (GA evolution, Weibull) | [`figures::run_ga_figure`] | `fig3` |
+//! | Table 1 (Normal) | [`batch::run_ga_batch`] → `.table` | `table1` |
+//! | Table 2 (Exponential) | [`batch::run_ga_batch`] → `.table` | `table2` |
+//! | Table 3 (Weibull) | [`batch::run_ga_batch`] → `.table` | `table3` |
+//! | Figure 1 (GA evolution, Normal) | [`batch::run_ga_batch`] → `.figure` | `fig1` |
+//! | Figure 2 (GA evolution, Exponential) | [`batch::run_ga_batch`] → `.figure` | `fig2` |
+//! | Figure 3 (GA evolution, Weibull) | [`batch::run_ga_batch`] → `.figure` | `fig3` |
 //! | Figure 4 (NS swap vs random) | [`figures::run_ns_figure`] | `fig4` |
+//!
+//! Table N and Figure N report the same seven GA runs (as in the paper),
+//! so one GA batch per scenario yields both; `run_all` runs it once.
+//! Every runner takes an optional telemetry recorder (`None` records
+//! nothing and costs nothing).
 //!
 //! Every binary accepts `--quick` (reduced scale), `--seed <n>` (run seed),
 //! `--threads <n>` (parallel experiment workers; results are identical for
@@ -41,6 +46,7 @@
 
 pub mod analyze;
 pub mod ascii_plot;
+pub mod batch;
 pub mod checkpoint;
 pub mod cli;
 pub mod csv;

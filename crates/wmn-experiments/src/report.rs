@@ -231,9 +231,9 @@ pub fn write_summary(dir: &Path, tables: &[TableResult]) -> Result<(), Experimen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{run_ga_figure, run_ns_figure};
+    use crate::batch::run_ga_batch;
+    use crate::figures::run_ns_figure;
     use crate::scenario::{ExperimentConfig, Scenario};
-    use crate::tables::run_table;
     use std::fs;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -246,7 +246,9 @@ mod tests {
     #[test]
     fn writes_table_files() {
         let dir = tmpdir("table");
-        let t = run_table(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
+        let t = run_ga_batch(Scenario::Normal, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .table;
         write_table(&dir, &t).unwrap();
         assert!(dir.join("table1.md").exists());
         assert!(dir.join("table1.csv").exists());
@@ -258,7 +260,9 @@ mod tests {
     #[test]
     fn writes_figure_files() {
         let dir = tmpdir("figs");
-        let fig = run_ga_figure(Scenario::Weibull, &ExperimentConfig::quick()).unwrap();
+        let fig = run_ga_batch(Scenario::Weibull, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .figure;
         write_ga_figure(&dir, &fig).unwrap();
         assert!(dir.join("fig3.csv").exists());
         assert!(dir.join("fig3.txt").exists());
@@ -270,7 +274,7 @@ mod tests {
         );
         assert!(jsonl.lines().all(|l| l.starts_with("{\"generation\":")));
 
-        let ns = run_ns_figure(&ExperimentConfig::quick()).unwrap();
+        let ns = run_ns_figure(&ExperimentConfig::quick(), None).unwrap();
         write_ns_figure(&dir, &ns).unwrap();
         let csv = fs::read_to_string(dir.join("fig4.csv")).unwrap();
         assert!(csv.starts_with("phase,Swap,Random"));
@@ -282,7 +286,9 @@ mod tests {
 
     #[test]
     fn streamed_series_rows_match_csv_rendering() {
-        let fig = run_ga_figure(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
+        let fig = run_ga_batch(Scenario::Normal, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .figure;
         let mut sink = CsvSink::new(Vec::new());
         stream_series(&mut sink, "generation", &fig.series).unwrap();
         let streamed = String::from_utf8(sink.into_inner()).unwrap();
@@ -295,7 +301,9 @@ mod tests {
 
     #[test]
     fn write_failure_names_the_path() {
-        let t = run_table(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
+        let t = run_ga_batch(Scenario::Normal, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .table;
         // A directory path that cannot be created (parent is a file).
         let file = std::env::temp_dir().join(format!("wmn-not-a-dir-{}", std::process::id()));
         fs::write(&file, "occupied").unwrap();
@@ -310,7 +318,7 @@ mod tests {
         let config = ExperimentConfig::quick();
         let tables: Vec<TableResult> = Scenario::paper_tables()
             .into_iter()
-            .map(|s| run_table(s, &config).unwrap())
+            .map(|s| run_ga_batch(s, &config, None).unwrap().table)
             .collect();
         write_summary(&dir, &tables).unwrap();
 

@@ -1,23 +1,12 @@
-//! Reproduction of Tables 1–3: giant component and user coverage per ad
-//! hoc method, standalone and as GA initializer.
+//! Tables 1–3: giant component and user coverage per ad hoc method,
+//! standalone and as GA initializer.
 //!
-//! Each method's row is one independent job of the experiment grid,
-//! executed on [`ExperimentConfig::runtime`]'s worker pool. Per-cell RNG
-//! seeds are derived from grid coordinates (`[domain, scenario, method]`,
-//! see [`wmn_runtime::grid`]), so the table is bit-identical for every
-//! worker count.
+//! A table is the table view of its scenario's GA batch
+//! ([`crate::batch::run_ga_batch`]), which also yields the matching
+//! figure; this module holds the row types and their renderings.
 
-use crate::error::ExperimentError;
-use crate::scenario::{ExperimentConfig, Scenario};
-use wmn_ga::engine::{GaConfig, GaEngine};
-use wmn_ga::init::PopulationInit;
-use wmn_metrics::evaluator::Evaluator;
-use wmn_model::ModelError;
-use wmn_model::ProblemInstance;
-use wmn_obs::{NoopRecorder, Recorder, RobustnessStats, TelemetryRecorder};
+use crate::scenario::Scenario;
 use wmn_placement::registry::AdHocMethod;
-use wmn_runtime::grid::{domain, Cell};
-use wmn_runtime::JobFailure;
 
 /// One row of a paper table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,232 +93,17 @@ impl TableResult {
     }
 }
 
-/// The GA-run grid cell for `(scenario, method)` — shared with the figure
-/// runner so that Figure N and Table N report the *same* GA runs (as in
-/// the paper).
-pub(crate) fn ga_cell(scenario: Scenario, method_index: usize, method: AdHocMethod) -> Cell {
-    Cell::new(
-        format!("ga-{}-{}", scenario.name(), method.name()),
-        &[domain::GA, scenario.grid_id(), method_index as u64],
-    )
-}
-
-/// The shared GA configuration of the table and figure runners: the
-/// experiment knobs plus the connectivity oracle choice mapped onto the
-/// evaluation pipeline.
-pub(crate) fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
-    GaConfig::builder()
-        .population_size(config.population)
-        .generations(config.generations)
-        .threads(config.threads)
-        .eval_mode(config.ga_eval_mode())
-        .build()
-        .expect("experiment GA config is valid")
-}
-
-/// `base` with the connectivity cost cap floored to zero: every deletion
-/// search immediately falls back to the whole-graph rescan, making repair
-/// artificially expensive. This is the GA-side response to a
-/// `blowup@repair` sabotage — outcomes stay bit-identical (all repair
-/// paths agree), and the sabotaged attempt is doomed afterwards anyway.
-pub(crate) fn sabotaged_ga_config(base: &GaConfig) -> GaConfig {
-    let mut config = base.clone();
-    config.connectivity_cost_cap = Some(0);
-    config
-}
-
-/// Maps a runtime [`JobFailure`] onto [`ExperimentError::Cell`], naming
-/// the failed grid cell.
-pub(crate) fn cell_failure<E: std::fmt::Display>(
-    cell: String,
-    failure: JobFailure<E>,
-) -> ExperimentError {
-    ExperimentError::Cell {
-        cell,
-        attempts: failure.attempts,
-        detail: failure.kind.to_string(),
-    }
-}
-
-/// Reports the chaos profile of a finished batch on stderr — injected
-/// faults, retries, recoveries. Silent (no output at all) when nothing
-/// fired, which is every production run; stderr rather than any artifact
-/// file, so faulty-but-recovered runs stay byte-identical to clean ones.
-pub(crate) fn report_chaos(context: &str, stats: &RobustnessStats) {
-    if stats.is_uneventful() {
-        return;
-    }
-    let mut parts = Vec::new();
-    stats.for_each(|name, value| {
-        if value != 0 {
-            parts.push(format!("{name}={value}"));
-        }
-    });
-    eprintln!("chaos[{context}]: {}", parts.join(" "));
-}
-
-/// The label of the GA grid cell for error reporting (`ga-normal-HotSpot`).
-pub(crate) fn ga_cell_label(scenario: Scenario, index: usize) -> String {
-    AdHocMethod::all().into_iter().nth(index).map_or_else(
-        || format!("ga-{}-job{index}", scenario.name()),
-        |m| format!("ga-{}-{}", scenario.name(), m.name()),
-    )
-}
-
-/// One method's table row: the standalone placement (paper scenario 1) and
-/// a GA initialized from the method (paper scenario 2). The GA run feeds
-/// `recorder`; the caller picks [`NoopRecorder`] (free) or a per-job
-/// telemetry recorder.
-#[allow(clippy::too_many_arguments)]
-fn table_row(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-    instance: &ProblemInstance,
-    evaluator: &Evaluator<'_>,
-    ga_config: &GaConfig,
-    method_index: usize,
-    method: AdHocMethod,
-    recorder: &mut dyn Recorder,
-) -> Result<TableRow, ModelError> {
-    let standalone_cell = Cell::new(
-        format!("standalone-{}-{}", scenario.name(), method.name()),
-        &[domain::STANDALONE, scenario.grid_id(), method_index as u64],
-    );
-    let mut standalone_rng = standalone_cell.rng(config.run_seed);
-    let standalone = method.heuristic().place(instance, &mut standalone_rng);
-    let standalone_eval = evaluator.evaluate(&standalone)?;
-
-    let mut ga_rng = ga_cell(scenario, method_index, method).rng(config.run_seed);
-    let engine = GaEngine::new(evaluator, ga_config.clone());
-    let outcome = engine.run_recorded(&PopulationInit::AdHoc(method), &mut ga_rng, recorder)?;
-
-    Ok(TableRow {
-        method,
-        giant_by_ga: outcome.best_evaluation.giant_size(),
-        coverage_by_ga: outcome.best_evaluation.covered_clients(),
-        giant_standalone: standalone_eval.giant_size(),
-        coverage_standalone: standalone_eval.covered_clients(),
-    })
-}
-
-/// Runs one paper table: for every ad hoc method, measure the standalone
-/// placement and a GA initialized from it. Method rows run in parallel on
-/// [`ExperimentConfig::runtime`]'s panic-isolated executor; the result is
-/// bit-identical for every worker count, and — under any within-budget
-/// fault plan — byte-identical to a fault-free run (retried cells
-/// re-derive the same coordinate seeds).
-///
-/// # Errors
-///
-/// Propagates instance generation failures, and reports the
-/// lowest-indexed grid cell that exhausted its retry budget
-/// ([`ExperimentError::Cell`]).
-pub fn run_table(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-) -> Result<TableResult, ExperimentError> {
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
-
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
-    let mut stats = RobustnessStats::default();
-    let rows = config
-        .runtime()
-        .try_execute_isolated(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            |ctx, (mi, method)| {
-                table_row(
-                    scenario,
-                    config,
-                    &instance,
-                    &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
-                    *mi,
-                    *method,
-                    &mut NoopRecorder,
-                )
-            },
-        )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    let context = scenario
-        .table_number()
-        .map_or_else(|| format!("table-{scenario}"), |n| format!("table{n}"));
-    report_chaos(&context, &stats);
-    Ok(TableResult {
-        scenario,
-        router_count: instance.router_count(),
-        client_count: instance.client_count(),
-        rows: rows?,
-    })
-}
-
-/// Like [`run_table`], additionally collecting the run's work-counter
-/// telemetry into `recorder`. Each method row records into a private
-/// per-attempt recorder; only succeeding attempts merge, in job-index
-/// order, so the aggregated counters — like the table itself — are
-/// byte-identical for every worker count and any within-budget fault
-/// plan. The table values equal [`run_table`]'s exactly.
-///
-/// # Errors
-///
-/// Exactly as [`run_table`].
-pub fn run_table_recorded(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-    recorder: &mut TelemetryRecorder,
-) -> Result<TableResult, ExperimentError> {
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
-
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
-    let mut stats = RobustnessStats::default();
-    let rows = config
-        .runtime()
-        .try_execute_isolated_recorded(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            recorder,
-            |ctx, (mi, method), rec| {
-                table_row(
-                    scenario,
-                    config,
-                    &instance,
-                    &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
-                    *mi,
-                    *method,
-                    rec,
-                )
-            },
-        )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    let context = scenario
-        .table_number()
-        .map_or_else(|| format!("table-{scenario}"), |n| format!("table{n}"));
-    report_chaos(&context, &stats);
-    Ok(TableResult {
-        scenario,
-        router_count: instance.router_count(),
-        client_count: instance.client_count(),
-        rows: rows?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::run_ga_batch;
+    use crate::scenario::ExperimentConfig;
+    use wmn_obs::TelemetryRecorder;
 
     fn quick_table(scenario: Scenario) -> TableResult {
-        run_table(scenario, &ExperimentConfig::quick()).unwrap()
+        run_ga_batch(scenario, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .table
     }
 
     #[test]
@@ -389,8 +163,10 @@ mod tests {
     fn recorded_table_matches_plain_and_collects_counters() {
         let config = ExperimentConfig::quick();
         let mut recorder = TelemetryRecorder::new();
-        let recorded = run_table_recorded(Scenario::Normal, &config, &mut recorder).unwrap();
-        assert_eq!(recorded, run_table(Scenario::Normal, &config).unwrap());
+        let recorded = run_ga_batch(Scenario::Normal, &config, Some(&mut recorder))
+            .unwrap()
+            .table;
+        assert_eq!(recorded, quick_table(Scenario::Normal));
         // Seven GA runs of `generations` each.
         assert_eq!(
             recorder.counters().get("ga.generations"),

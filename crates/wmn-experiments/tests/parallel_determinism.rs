@@ -4,9 +4,18 @@
 //! `--quick` grid scale; and the scenario-scaling escape hatch produces
 //! larger-than-paper instances on the same engine.
 
-use wmn_experiments::figures::{run_ga_figure, run_ns_figure};
+use wmn_experiments::batch::run_ga_batch;
+use wmn_experiments::figures::{run_ns_figure, GaFigure};
 use wmn_experiments::scenario::{ExperimentConfig, Scenario, ScenarioScale};
-use wmn_experiments::tables::run_table;
+use wmn_experiments::tables::TableResult;
+
+fn table_view(scenario: Scenario, config: &ExperimentConfig) -> TableResult {
+    run_ga_batch(scenario, config, None).unwrap().table
+}
+
+fn figure_view(scenario: Scenario, config: &ExperimentConfig) -> GaFigure {
+    run_ga_batch(scenario, config, None).unwrap().figure
+}
 
 fn config_with_threads(threads: usize) -> ExperimentConfig {
     let mut config = ExperimentConfig::quick();
@@ -17,9 +26,9 @@ fn config_with_threads(threads: usize) -> ExperimentConfig {
 #[test]
 fn run_table_is_identical_for_1_2_and_8_threads() {
     for scenario in Scenario::paper_tables() {
-        let serial = run_table(scenario, &config_with_threads(1)).unwrap();
+        let serial = table_view(scenario, &config_with_threads(1));
         for threads in [2, 8] {
-            let parallel = run_table(scenario, &config_with_threads(threads)).unwrap();
+            let parallel = table_view(scenario, &config_with_threads(threads));
             assert_eq!(parallel, serial, "{scenario} with {threads} threads");
             // Struct equality is necessary; rendered artifacts must be
             // byte-identical too.
@@ -31,18 +40,18 @@ fn run_table_is_identical_for_1_2_and_8_threads() {
 
 #[test]
 fn run_ga_figure_is_identical_for_1_2_and_8_threads() {
-    let serial = run_ga_figure(Scenario::Normal, &config_with_threads(1)).unwrap();
+    let serial = figure_view(Scenario::Normal, &config_with_threads(1));
     for threads in [2, 8] {
-        let parallel = run_ga_figure(Scenario::Normal, &config_with_threads(threads)).unwrap();
+        let parallel = figure_view(Scenario::Normal, &config_with_threads(threads));
         assert_eq!(parallel, serial, "{threads} threads");
     }
 }
 
 #[test]
 fn run_ns_figure_is_identical_for_1_2_and_8_threads() {
-    let serial = run_ns_figure(&config_with_threads(1)).unwrap();
+    let serial = run_ns_figure(&config_with_threads(1), None).unwrap();
     for threads in [2, 8] {
-        let parallel = run_ns_figure(&config_with_threads(threads)).unwrap();
+        let parallel = run_ns_figure(&config_with_threads(threads), None).unwrap();
         assert_eq!(parallel, serial, "{threads} threads");
     }
 }
@@ -51,18 +60,17 @@ fn run_ns_figure_is_identical_for_1_2_and_8_threads() {
 fn auto_thread_count_matches_serial() {
     // runner_threads = 0 resolves to available parallelism; output must
     // still match the serial reference bit for bit.
-    let serial = run_table(Scenario::Exponential, &config_with_threads(1)).unwrap();
-    let auto = run_table(Scenario::Exponential, &config_with_threads(0)).unwrap();
+    let serial = table_view(Scenario::Exponential, &config_with_threads(1));
+    let auto = table_view(Scenario::Exponential, &config_with_threads(0));
     assert_eq!(auto, serial);
 }
 
 #[test]
 fn table_and_figure_report_the_same_ga_runs() {
-    // Paper invariant preserved by the grid-cell seeding: Figure N's final
-    // giant size per method equals Table N's giant_by_ga.
-    let config = config_with_threads(2);
-    let table = run_table(Scenario::Normal, &config).unwrap();
-    let figure = run_ga_figure(Scenario::Normal, &config).unwrap();
+    // Paper invariant: Figure N's final giant size per method equals
+    // Table N's giant_by_ga, the two being views of one GA batch.
+    let batch = run_ga_batch(Scenario::Normal, &config_with_threads(2), None).unwrap();
+    let (table, figure) = (&batch.table, &batch.figure);
     for row in &table.rows {
         let trace = figure.series_for(row.method).unwrap();
         assert_eq!(
@@ -89,9 +97,9 @@ fn scaled_scenarios_run_on_the_parallel_engine() {
     assert_eq!(instance.client_count(), 384);
 
     config.runner_threads = 1;
-    let serial = run_table(Scenario::Normal, &config).unwrap();
+    let serial = table_view(Scenario::Normal, &config);
     config.runner_threads = 4;
-    let parallel = run_table(Scenario::Normal, &config).unwrap();
+    let parallel = table_view(Scenario::Normal, &config);
     assert_eq!(parallel, serial);
     for row in &serial.rows {
         assert!(row.giant_by_ga <= 128);

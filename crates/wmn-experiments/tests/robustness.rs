@@ -2,14 +2,15 @@
 //! within-retry-budget fault plan leaves every artifact byte-identical to
 //! the fault-free run (at 1 and 2 threads); an exhausted budget fails
 //! loudly naming the cell; and an interrupted run resumed from its
-//! checkpoint produces a byte-identical output directory.
+//! checkpoint produces a byte-identical output directory, whichever of a
+//! scenario's table and figure completed first.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use wmn_experiments::figures::{run_ga_figure, run_ns_figure};
+use wmn_experiments::batch::run_ga_batch;
+use wmn_experiments::figures::run_ns_figure;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
-use wmn_experiments::tables::run_table;
 use wmn_runtime::FaultPlan;
 
 /// One rule per site: panics on attempt 0, errors on attempts 0–1,
@@ -35,9 +36,13 @@ fn chaos_config(threads: usize) -> ExperimentConfig {
 #[test]
 fn faulty_tables_match_fault_free_at_1_and_2_threads() {
     for scenario in Scenario::paper_tables() {
-        let reference = run_table(scenario, &clean_config(1)).unwrap();
+        let reference = run_ga_batch(scenario, &clean_config(1), None)
+            .unwrap()
+            .table;
         for threads in [1, 2] {
-            let faulty = run_table(scenario, &chaos_config(threads)).unwrap();
+            let faulty = run_ga_batch(scenario, &chaos_config(threads), None)
+                .unwrap()
+                .table;
             assert_eq!(faulty, reference, "{scenario} with {threads} threads");
             assert_eq!(faulty.to_csv(), reference.to_csv());
             assert_eq!(faulty.to_markdown(), reference.to_markdown());
@@ -47,12 +52,16 @@ fn faulty_tables_match_fault_free_at_1_and_2_threads() {
 
 #[test]
 fn faulty_figures_match_fault_free_at_1_and_2_threads() {
-    let ga_reference = run_ga_figure(Scenario::Normal, &clean_config(1)).unwrap();
-    let ns_reference = run_ns_figure(&clean_config(1)).unwrap();
+    let ga_reference = run_ga_batch(Scenario::Normal, &clean_config(1), None)
+        .unwrap()
+        .figure;
+    let ns_reference = run_ns_figure(&clean_config(1), None).unwrap();
     for threads in [1, 2] {
-        let ga = run_ga_figure(Scenario::Normal, &chaos_config(threads)).unwrap();
+        let ga = run_ga_batch(Scenario::Normal, &chaos_config(threads), None)
+            .unwrap()
+            .figure;
         assert_eq!(ga, ga_reference, "ga figure with {threads} threads");
-        let ns = run_ns_figure(&chaos_config(threads)).unwrap();
+        let ns = run_ns_figure(&chaos_config(threads), None).unwrap();
         assert_eq!(ns, ns_reference, "ns figure with {threads} threads");
     }
 }
@@ -64,7 +73,7 @@ fn exhausted_retry_budget_fails_naming_the_cell_and_attempts() {
     let mut config = clean_config(2);
     config.retries = 2;
     config.fault_plan = Some(FaultPlan::parse("error@start:p=1,n=9").unwrap());
-    let message = run_table(Scenario::Normal, &config)
+    let message = run_ga_batch(Scenario::Normal, &config, None)
         .unwrap_err()
         .to_string();
     assert!(message.contains("ga-normal-"), "{message}");
@@ -179,6 +188,41 @@ fn run_all_survives_faults_and_resume_with_byte_identical_output() {
     assert_dirs_identical(&resumed, &clean);
 
     for dir in [&clean, &chaos, &resumed] {
+        let _ = fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn run_all_resumes_after_a_lone_figure_with_byte_identical_output() {
+    // The reverse of the table-first interruption: only fig1 completed,
+    // so run_all --resume must still run the Normal GA batch for table1,
+    // without rewriting fig1, and end with a clean run's directory.
+    let run_all = env!("CARGO_BIN_EXE_run_all");
+    let fig1 = env!("CARGO_BIN_EXE_fig1");
+    let clean = fresh_dir("wmn-robustness-fig-first-clean");
+    let resumed = fresh_dir("wmn-robustness-fig-first-resumed");
+
+    let out = run_bin(run_all, &["--quick", "--threads", "2"], "--out", &clean);
+    assert_success(&out, "clean run_all");
+    let out = run_bin(fig1, &["--quick", "--threads", "2"], "--out", &resumed);
+    assert_success(&out, "fig1");
+    let out = run_bin(
+        run_all,
+        &["--quick", "--threads", "2"],
+        "--resume",
+        &resumed,
+    );
+    assert_success(&out, "resumed run_all");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("fig1 (normal): complete in checkpoint, skipped"),
+        "{stdout}"
+    );
+    assert!(resumed.join("table1.md").exists());
+    assert!(resumed.join("table1.csv").exists());
+    assert_dirs_identical(&resumed, &clean);
+
+    for dir in [&clean, &resumed] {
         let _ = fs::remove_dir_all(dir);
     }
 }

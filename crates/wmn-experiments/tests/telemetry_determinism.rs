@@ -11,10 +11,14 @@
 //! 3. The oracles produce the **same figures** but **different work
 //!    profiles** — the property `scripts/check_counters.sh` turns into a
 //!    perf-regression gate.
+//! 4. A whole `run_all` runs each of its 21 GA cells exactly once, and
+//!    its `telemetry.json` is byte-identical at 1 and 2 runner threads.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use wmn_experiments::analyze::{flame, parse_doc};
-use wmn_experiments::figures::{run_ga_figure_recorded, run_ns_figure_recorded};
+use wmn_experiments::batch::run_ga_batch;
+use wmn_experiments::figures::run_ns_figure;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
 use wmn_experiments::telemetry::render_telemetry_json;
 use wmn_graph::topology::ConnectivityMode;
@@ -31,7 +35,7 @@ fn small() -> ExperimentConfig {
 
 fn ga_telemetry(config: &ExperimentConfig) -> String {
     let mut recorder = TelemetryRecorder::new();
-    run_ga_figure_recorded(Scenario::Weibull, config, &mut recorder).unwrap();
+    run_ga_batch(Scenario::Weibull, config, Some(&mut recorder)).unwrap();
     render_telemetry_json("fig3", config, &recorder)
 }
 
@@ -58,7 +62,7 @@ fn ns_figure_telemetry_is_byte_identical_across_thread_counts() {
     let mut config = small();
     let telemetry = |config: &ExperimentConfig| {
         let mut recorder = TelemetryRecorder::new();
-        run_ns_figure_recorded(config, &mut recorder).unwrap();
+        run_ns_figure(config, Some(&mut recorder)).unwrap();
         render_telemetry_json("fig4", config, &recorder)
     };
     config.runner_threads = 1;
@@ -124,7 +128,9 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
         config.connectivity = mode;
         let run = || {
             let mut recorder = TelemetryRecorder::new();
-            let fig = run_ga_figure_recorded(Scenario::Weibull, &config, &mut recorder).unwrap();
+            let fig = run_ga_batch(Scenario::Weibull, &config, Some(&mut recorder))
+                .unwrap()
+                .figure;
             (fig, render_telemetry_json("fig3", &config, &recorder))
         };
         let (fig_a, doc_a) = run();
@@ -146,4 +152,46 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
     // never does.
     assert!(documents[0].contains("\"connectivity.bfs_edge_visits\""));
     assert!(!documents[1].contains("\"connectivity.bfs_edge_visits\""));
+}
+
+/// Runs `run_all --quick --telemetry` at `threads` runner threads with a
+/// scrubbed `WMN_*` environment and returns its `telemetry.json`.
+fn run_all_telemetry(threads: &str) -> String {
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "wmn-run-all-telemetry-t{threads}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
+    for (key, _) in std::env::vars() {
+        if key.starts_with("WMN_") {
+            cmd.env_remove(key);
+        }
+    }
+    let out = cmd
+        .args(["--quick", "--threads", threads, "--out"])
+        .arg(&dir)
+        .arg("--telemetry")
+        .arg(dir.join("telemetry"))
+        .output()
+        .expect("run_all spawns");
+    assert!(
+        out.status.success(),
+        "run_all failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = std::fs::read_to_string(dir.join("telemetry").join("telemetry.json")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    doc
+}
+
+#[test]
+fn run_all_runs_each_ga_cell_once_with_thread_invariant_telemetry() {
+    let serial = run_all_telemetry("1");
+    let doc = parse_doc(Path::new("telemetry.json"), &serial).unwrap();
+    // Three scenarios × seven methods, one GA run each: Table N and
+    // Figure N share their runs.
+    let generations = ExperimentConfig::quick().generations as u64;
+    assert_eq!(doc.counters["ga.generations"], 21 * generations);
+    assert_eq!(run_all_telemetry("2"), serial);
 }
