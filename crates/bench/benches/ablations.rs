@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the workspace's main design choices: the
 //! uniform-grid spatial index, incremental topology repair, the
-//! delta-evaluated search and GA inner loops, dynamic connectivity
-//! repair, union-find components, summed-area density windows and
+//! delta-evaluated search and GA inner loops, the two halves of one
+//! search step, dynamic connectivity repair, union-find components, summed-area density windows and
 //! threaded GA evaluation. Each pits the chosen implementation against
 //! its reference alternative, described on the benchmark's doc comment.
 
@@ -411,6 +411,69 @@ fn ablation_connectivity(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two halves of one neighborhood-search step, apart:
+///
+/// * `propose_swap` — a steady-state [`SwapMovement::propose`] on an
+///   unchanged topology, as between the neighbours of one phase: the
+///   movement's kept zone state is current, so the call is one bitwise
+///   position compare plus the zone picks, at paper scale and ×64;
+/// * `move_back_{dynamic,rescan}` — one `move_router` and the move back
+///   that undoes it, at paper scale, ×16 and ×64, under the dynamic
+///   connectivity engine and the DSU-rescan reference. Both repair in
+///   time linear in the router count, so the gap between them is the
+///   per-move cost of component repair.
+fn ablation_search_step(c: &mut Criterion) {
+    use wmn_graph::topology::ConnectivityMode;
+    use wmn_search::movement::{Movement, SwapConfig, SwapMovement};
+
+    // One call per sample. A move's cost is heavy-tailed (most moves touch
+    // small components, a few repair the giant), so read the mean, over
+    // enough samples to hold it steady.
+    let mut group = c.benchmark_group("ablation_search_step");
+    group.sample_size(4000);
+    for (label, factor) in [("paper", 1u32), ("scale16", 16), ("scale64", 64)] {
+        let instance = Scenario::Normal
+            .scaled_spec(ScenarioScale::proportional(factor))
+            .expect("valid scaled spec")
+            .generate(2)
+            .expect("generates");
+        let evaluator = Evaluator::paper_default(&instance);
+        let placement = instance.random_placement(&mut rng_from_seed(3));
+        let side = instance.area().width();
+        if factor != 16 {
+            group.bench_function(BenchmarkId::new("propose_swap", label), |b| {
+                let topo = evaluator.topology(&placement).expect("builds");
+                let movement = SwapMovement::new(&instance, SwapConfig::default());
+                let mut rng = rng_from_seed(4);
+                b.iter(|| movement.propose(&topo, &mut rng));
+            });
+        }
+        for (mode_label, mode) in [
+            ("dynamic", ConnectivityMode::Dynamic),
+            ("rescan", ConnectivityMode::DsuRescan),
+        ] {
+            group.bench_function(
+                BenchmarkId::new(&format!("move_back_{mode_label}"), label),
+                |b| {
+                    let mut topo = evaluator.topology(&placement).expect("builds");
+                    topo.set_connectivity_mode(mode);
+                    let n = topo.router_count();
+                    let mut rng = rng_from_seed(5);
+                    b.iter(|| {
+                        let id = RouterId(rng.gen_range(0..n));
+                        let to = Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side));
+                        let old = topo.move_router(id, to);
+                        let giant = topo.giant_size();
+                        topo.move_router(id, old);
+                        giant
+                    });
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 /// BFS vs union-find for connected components.
 fn ablation_components(c: &mut Criterion) {
     let area = Area::square(128.0).expect("valid area");
@@ -515,6 +578,7 @@ criterion_group!(
     ablation_move_eval,
     ablation_ga_eval,
     ablation_connectivity,
+    ablation_search_step,
     ablation_components,
     ablation_density,
     ablation_parallel_eval,

@@ -468,6 +468,53 @@ fn span_count(doc_path: &Path) -> Option<usize> {
     Some(text.lines().count())
 }
 
+/// One counter family's digest: the keys sharing a first dotted segment.
+#[derive(Debug, Default)]
+struct CounterFamily<'a> {
+    keys: usize,
+    total: u64,
+    /// The part of `total` recorded inside phase scopes.
+    attributed: u64,
+    /// The family's key with the largest value (ties: the first by name).
+    largest: &'a str,
+    largest_value: u64,
+}
+
+/// The family of a counter key: its first dotted segment.
+fn family_of(key: &str) -> &str {
+    key.split('.').next().unwrap_or(key)
+}
+
+/// Adds `node`'s counters, and its descendants', into per-family sums.
+fn attributed_by_family(node: &AttributionNode, out: &mut BTreeMap<String, u64>) {
+    for (key, delta) in &node.counters {
+        *out.entry(family_of(key).to_owned()).or_insert(0) += delta;
+    }
+    for child in node.children.values() {
+        attributed_by_family(child, out);
+    }
+}
+
+/// `doc`'s flat counters grouped by family, in family-name order.
+fn counter_families(doc: &Doc) -> BTreeMap<&str, CounterFamily<'_>> {
+    let mut families: BTreeMap<&str, CounterFamily<'_>> = BTreeMap::new();
+    for (key, &value) in &doc.counters {
+        let family = families.entry(family_of(key)).or_default();
+        family.keys += 1;
+        family.total += value;
+        if family.keys == 1 || value > family.largest_value {
+            family.largest = key;
+            family.largest_value = value;
+        }
+    }
+    let mut attributed = BTreeMap::new();
+    attributed_by_family(&doc.attribution, &mut attributed);
+    for (name, family) in &mut families {
+        family.attributed = attributed.get(*name).copied().unwrap_or(0);
+    }
+    families
+}
+
 /// Renders a one-screen digest of a document.
 pub fn summarize(doc: &Doc) -> String {
     let mut out = String::new();
@@ -484,33 +531,48 @@ pub fn summarize(doc: &Doc) -> String {
     if let Some(connectivity) = &doc.connectivity {
         let _ = writeln!(out, "connectivity: {connectivity}");
     }
-    let total = doc.counter_total();
+    // Counters of different families count different things (BFS edge
+    // visits, moved routers, GA generations), so each family is summed
+    // alone and never added to another.
+    let families = counter_families(doc);
     let _ = writeln!(
         out,
-        "counters: {} keys, {total} work units",
-        doc.counters.len()
+        "counters: {} keys in {} families (each family summed alone)",
+        doc.counters.len(),
+        families.len()
     );
-    let mut top: Vec<(&String, &u64)> = doc.counters.iter().collect();
-    top.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-    for (key, value) in top.into_iter().take(5) {
-        let _ = writeln!(out, "  {value:>14}  {key}");
-    }
-    if doc.kind == DocKind::Telemetry {
-        let attributed = doc.attribution.total();
+    if !families.is_empty() {
         let _ = writeln!(
             out,
-            "phases: {}% of work units attributed ({attributed} of {total})",
-            fmt_pct(attributed, total)
+            "  {:<14} {:>4} {:>14} {:>11}  largest",
+            "family", "keys", "total", "attributed"
         );
-        if attributed > 0 {
-            for (name, child) in sorted_children(&doc.attribution) {
-                let _ = writeln!(
-                    out,
-                    "  {:>5}% {:>14}  {name}",
-                    fmt_pct(child.total(), attributed),
-                    child.total()
-                );
-            }
+    }
+    for (name, family) in &families {
+        let attributed = if doc.kind == DocKind::Telemetry {
+            format!("{}%", fmt_pct(family.attributed, family.total))
+        } else {
+            "-".to_owned()
+        };
+        let _ = writeln!(
+            out,
+            "  {name:<14} {:>4} {:>14} {attributed:>11}  {}",
+            family.keys, family.total, family.largest
+        );
+    }
+    if doc.kind == DocKind::Telemetry {
+        let phases: Vec<&str> = doc
+            .attribution
+            .children
+            .keys()
+            .map(String::as_str)
+            .collect();
+        if !phases.is_empty() {
+            let _ = writeln!(
+                out,
+                "phases: {} (see `wmn-report flame`)",
+                phases.join(", ")
+            );
         }
         let _ = writeln!(out, "histograms: {} recorded", doc.histograms);
         if let Some(n) = span_count(&doc.path) {
@@ -921,9 +983,35 @@ mod tests {
             text.contains("run summary: fig3 (wmn-telemetry/v2)"),
             "{text}"
         );
-        assert!(text.contains("counters: 5 keys, 150 work units"), "{text}");
-        assert!(text.contains("73.3%"), "{text}");
-        assert!(text.contains("ga.generations"), "{text}");
+        // Families are summed alone: no line adds generations to edges.
+        assert!(
+            text.contains("counters: 5 keys in 4 families (each family summed alone)"),
+            "{text}"
+        );
+        assert!(!text.contains("150"), "{text}");
+        assert!(!text.contains("work units"), "{text}");
+        let row = |family: &str| {
+            text.lines()
+                .find(|l| l.split_whitespace().next() == Some(family))
+                .unwrap_or_else(|| panic!("no {family} row: {text}"))
+                .split_whitespace()
+                .collect::<Vec<_>>()
+        };
+        // ga.generations (40) is recorded outside every phase, the
+        // children count (10) inside `ga`.
+        assert_eq!(row("ga"), ["ga", "2", "50", "20.0%", "ga.generations"]);
+        assert_eq!(
+            row("topology"),
+            ["topology", "1", "45", "100.0%", "topology.edges_linked"]
+        );
+        assert_eq!(
+            row("connectivity"),
+            ["connectivity", "1", "30", "100.0%", "connectivity.repairs"]
+        );
+        assert!(
+            text.contains("phases: ga (see `wmn-report flame`)"),
+            "{text}"
+        );
         assert!(text.lines().count() <= 24, "{text}");
     }
 

@@ -545,6 +545,12 @@ impl WmnTopology {
         self.radii[id.index()]
     }
 
+    /// All current router positions, indexed by router id, without a
+    /// copy.
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
     /// All current router positions, as a [`Placement`].
     pub fn placement(&self) -> Placement {
         Placement::from_points(self.positions.clone())

@@ -18,7 +18,7 @@ use rand::{Rng, RngCore};
 use std::cell::RefCell;
 use std::fmt;
 use wmn_graph::density::{CellWindow, DensityMap};
-use wmn_graph::topology::WmnTopology;
+use wmn_graph::topology::{TopologyConfig, WmnTopology};
 use wmn_model::geometry::{Area, Point, Rect};
 use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
@@ -93,6 +93,14 @@ impl UndoAction {
 ///
 /// Movements are constructed against a fixed instance (client positions
 /// never change), then propose moves against evolving topologies.
+///
+/// A movement may cache per-instance state between proposals, such as
+/// where each router sat at the last call ([`SwapMovement`] does). The
+/// cache stays valid for **any** topology of that instance: a proposal
+/// first brings it up to the topology it is given, however far that
+/// topology is from the one the last call saw, so one movement can serve
+/// several topologies in turn and its proposals never depend on which it
+/// saw before. `Clone` copies the cache.
 pub trait Movement: fmt::Debug {
     /// Short stable name (used by figure legends): `"Swap"`, `"Random"`.
     fn name(&self) -> &'static str;
@@ -184,25 +192,37 @@ impl Default for SwapConfig {
 /// Client positions never change, so construction ranks the disjoint
 /// windows ("zones") once, resolves each zone's closed [`Rect`] and
 /// client count, and builds a table mapping every density cell to the
-/// rank of the zone covering it. A proposal then makes one O(n) pass over
-/// the routers to count zone occupancy — one multiply-and-truncate cell
-/// lookup per router — plus at most three more O(n) passes: gathering the
-/// sparse zone's and the dense zone's routers, and, in relocate mode with
-/// an empty dense zone, finding the giant-component anchor. Its cost does
-/// not depend on the number of zones.
+/// rank of the zone covering it.
+///
+/// Between two proposals of a search phase at most a couple of routers
+/// move, so the movement keeps what a proposal reads from one call to the
+/// next: the router positions it last saw, the per-zone occupancy counts,
+/// and per-zone **rosters** (the routers inside each zone's closed
+/// rectangle, in ascending id). A proposal compares
+/// [`WmnTopology::positions`] bitwise against that snapshot — one tight
+/// O(n) pass — and re-homes only the routers that differ, each in
+/// O(roster size); it rebuilds everything when the router count changes.
+/// Picking the zones then costs O(zones) and reading a roster O(roster
+/// size), so no other pass over the routers remains.
+///
+/// In relocate mode with an empty dense zone, the anchor is the giant
+/// member nearest the zone's center. The movement memoises, per zone, the
+/// two nearest giant members (by distance², then id), so excluding the
+/// moving router stays exact. Giant membership is global, so the memo is
+/// dropped whenever any router moved; finding it again costs one O(n)
+/// scan.
 ///
 /// # Boundary rule
 ///
 /// A router belongs to a zone when the zone's **closed** rectangle
 /// contains it. Adjacent zones share edges and corners, so a router on a
-/// shared edge lies in several closed rectangles; it then counts for the
-/// **lowest-rank** (densest) of them. The cell table answers only for
-/// routers strictly inside a cell; a router on or near a cell edge,
-/// outside the area or at a NaN position is resolved by testing the
-/// closed rectangles of the zones covering the 3 × 3 neighbouring cells,
-/// which gives exactly the first match of a rank-ordered scan over all
-/// zones. Gathering a zone's routers tests its closed rectangle directly,
-/// in ascending router id.
+/// shared edge lies in several closed rectangles — it is on each of their
+/// rosters — and counts towards the occupancy of the **lowest-rank**
+/// (densest) of them only. The cell table answers only for routers
+/// strictly inside a cell; a router on or near a cell edge, outside the
+/// area or at a NaN position is resolved by testing the closed rectangles
+/// of the zones covering the 3 × 3 neighbouring cells, which finds
+/// exactly the zones a scan over all rectangles would.
 ///
 /// # Examples
 ///
@@ -230,11 +250,11 @@ pub struct SwapMovement {
     zones: Vec<Zone>,
     /// Router position → zone rank lookup over the density grid.
     grid: ZoneGrid,
-    /// Per-proposal scratch buffers (interior mutability because
-    /// [`Movement::propose`] takes `&self`): once warm, a proposal
+    /// Router-side state kept between proposals (interior mutability
+    /// because [`Movement::propose`] takes `&self`): once warm, a proposal
     /// performs zero heap allocations, keeping the whole search inner
     /// loop allocation-free.
-    scratch: RefCell<ProposeScratch>,
+    state: RefCell<ZoneState>,
 }
 
 /// One ranked client zone, resolved once per instance.
@@ -251,8 +271,8 @@ struct Zone {
 /// window edges `k · cell_w` for any grid that fits in memory.
 const EDGE_EPS: f64 = 1e-6;
 
-/// Maps positions to the rank of the zone whose closed rectangle holds
-/// them (see the boundary rule on [`SwapMovement`]).
+/// Maps positions to the zones whose closed rectangles hold them (see the
+/// boundary rule on [`SwapMovement`]).
 #[derive(Debug, Clone)]
 struct ZoneGrid {
     cols: usize,
@@ -263,6 +283,30 @@ struct ZoneGrid {
     /// in cells, so there is at most one. Uncovered cells hold the
     /// sentinel rank `zones.len()`.
     cell_zone: Vec<u32>,
+}
+
+/// The ranks of the zones whose closed rectangles contain one position:
+/// at most the zones of the 3 × 3 cells around it.
+#[derive(Debug, Clone, Copy, Default)]
+struct ZoneSet {
+    len: usize,
+    ranks: [u32; 9],
+}
+
+impl ZoneSet {
+    fn as_slice(&self) -> &[u32] {
+        &self.ranks[..self.len]
+    }
+
+    fn push(&mut self, rank: u32) {
+        self.ranks[self.len] = rank;
+        self.len += 1;
+    }
+
+    /// The lowest rank, or `none` for an empty set.
+    fn home(&self, none: usize) -> usize {
+        self.as_slice().iter().min().map_or(none, |&r| r as usize)
+    }
 }
 
 impl ZoneGrid {
@@ -288,16 +332,16 @@ impl ZoneGrid {
         }
     }
 
-    /// The rank of the lowest-rank zone whose closed rectangle contains
-    /// `p`, or `zones.len()` when none does.
+    /// Every zone whose closed rectangle contains `p`.
     #[inline]
-    fn zone_of(&self, p: Point, zones: &[Zone]) -> usize {
+    fn zones_containing(&self, p: Point, zones: &[Zone]) -> ZoneSet {
         let fx = p.x * self.inv_cell_w;
         let fy = p.y * self.inv_cell_h;
         // Saturating casts: negative and NaN coordinates land on 0, huge
         // ones past the grid; both fail the checks below.
         let (cx, cy) = (fx as usize, fy as usize);
         let (rx, ry) = (fx - cx as f64, fy - cy as f64);
+        let mut set = ZoneSet::default();
         if cx < self.cols
             && cy < self.rows
             && rx > EDGE_EPS
@@ -305,39 +349,199 @@ impl ZoneGrid {
             && ry > EDGE_EPS
             && ry < 1.0 - EDGE_EPS
         {
-            self.cell_zone[cy * self.cols + cx] as usize
+            let zi = self.cell_zone[cy * self.cols + cx];
+            if (zi as usize) < zones.len() {
+                set.push(zi);
+            }
         } else {
-            self.zone_near_edge(p, cx.min(self.cols - 1), cy.min(self.rows - 1), zones)
+            self.zones_near_edge(
+                p,
+                cx.min(self.cols - 1),
+                cy.min(self.rows - 1),
+                zones,
+                &mut set,
+            );
         }
+        set
     }
 
-    /// Slow path of [`ZoneGrid::zone_of`]: any zone whose closed rectangle
-    /// contains `p` covers one of the 3 × 3 cells around `(cx, cy)`.
+    /// Slow path of [`ZoneGrid::zones_containing`]: any zone whose closed
+    /// rectangle contains `p` covers one of the 3 × 3 cells around
+    /// `(cx, cy)`.
     #[cold]
-    fn zone_near_edge(&self, p: Point, cx: usize, cy: usize, zones: &[Zone]) -> usize {
-        let mut best = zones.len();
+    fn zones_near_edge(&self, p: Point, cx: usize, cy: usize, zones: &[Zone], set: &mut ZoneSet) {
         for y in cy.saturating_sub(1)..=(cy + 1).min(self.rows - 1) {
             for x in cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1) {
-                let zi = self.cell_zone[y * self.cols + x] as usize;
-                if zi < best && zones[zi].rect.contains(p) {
-                    best = zi;
+                let zi = self.cell_zone[y * self.cols + x];
+                if (zi as usize) < zones.len()
+                    && !set.as_slice().contains(&zi)
+                    && zones[zi as usize].rect.contains(p)
+                {
+                    set.push(zi);
                 }
             }
         }
-        best
     }
 }
 
-/// Reusable buffers for one [`SwapMovement::propose`] call.
+/// The giant members nearest one zone's center, by distance², then id.
+#[derive(Debug, Clone, Copy)]
+enum NearestGiant {
+    /// The nearest and the second nearest.
+    Ranked(Option<RouterId>, Option<RouterId>),
+    /// A NaN distance leaves no order to rank by; every query rescans.
+    Unordered,
+}
+
+/// Router-side state of [`SwapMovement`], kept between proposals and
+/// updated for the routers that moved (see its cost model).
 #[derive(Debug, Clone, Default)]
-struct ProposeScratch {
-    /// Routers per zone rank, plus a last slot for routers in no zone.
-    routers_per_zone: Vec<usize>,
+struct ZoneState {
+    /// Router positions at the last proposal.
+    positions: Vec<Point>,
+    /// Routers per zone rank, plus a last slot for routers in no zone. A
+    /// router counts for the lowest-rank zone whose closed rectangle
+    /// holds it.
+    occupancy: Vec<usize>,
+    /// Per zone, the routers inside its closed rectangle, ascending id.
+    rosters: Vec<Vec<RouterId>>,
+    /// Per zone, the memoised nearest giant members; cleared whenever a
+    /// router moved.
+    nearest_giant: Vec<Option<NearestGiant>>,
+    /// The link and coverage rules the memo was taken under: giant
+    /// membership depends on them as well as on the positions.
+    topology_config: Option<TopologyConfig>,
+    /// Routers whose positions differ from the snapshot.
+    moved: Vec<usize>,
     dense_pool: Vec<usize>,
     sparse_pool: Vec<usize>,
-    sparse_routers: Vec<RouterId>,
-    dense_routers: Vec<RouterId>,
-    non_giant: Vec<RouterId>,
+}
+
+impl ZoneState {
+    /// Brings the state up to `topo`'s router positions.
+    fn sync(&mut self, topo: &WmnTopology, grid: &ZoneGrid, zones: &[Zone]) {
+        if self.topology_config != Some(topo.config()) {
+            self.topology_config = Some(topo.config());
+            self.nearest_giant.clear();
+            self.nearest_giant.resize(zones.len(), None);
+        }
+        let positions = topo.positions();
+        if positions.len() != self.positions.len() {
+            self.rebuild(positions, grid, zones);
+            return;
+        }
+        self.moved.clear();
+        for (i, (seen, now)) in self.positions.iter().zip(positions).enumerate() {
+            if (seen.x.to_bits() ^ now.x.to_bits()) | (seen.y.to_bits() ^ now.y.to_bits()) != 0 {
+                self.moved.push(i);
+            }
+        }
+        if self.moved.is_empty() {
+            return;
+        }
+        self.nearest_giant.fill(None);
+        // Every moved router leaves its old zones before any enters its
+        // new ones, so no roster grows past the larger of its old and new
+        // sizes (the allocation gate relies on it).
+        for &i in &self.moved {
+            let set = grid.zones_containing(self.positions[i], zones);
+            self.occupancy[set.home(zones.len())] -= 1;
+            for &zi in set.as_slice() {
+                let roster = &mut self.rosters[zi as usize];
+                let at = roster
+                    .binary_search(&RouterId(i))
+                    .expect("a router is on the roster of every zone holding it");
+                roster.remove(at);
+            }
+        }
+        for &i in &self.moved {
+            let p = positions[i];
+            self.positions[i] = p;
+            let set = grid.zones_containing(p, zones);
+            for &zi in set.as_slice() {
+                let roster = &mut self.rosters[zi as usize];
+                let at = roster.binary_search(&RouterId(i)).unwrap_err();
+                roster.insert(at, RouterId(i));
+            }
+            self.occupancy[set.home(zones.len())] += 1;
+        }
+    }
+
+    fn rebuild(&mut self, positions: &[Point], grid: &ZoneGrid, zones: &[Zone]) {
+        self.positions.clear();
+        self.positions.extend_from_slice(positions);
+        self.occupancy.clear();
+        self.occupancy.resize(zones.len() + 1, 0);
+        self.rosters.resize_with(zones.len(), Vec::new);
+        for roster in &mut self.rosters {
+            roster.clear();
+        }
+        self.nearest_giant.fill(None);
+        // Room for every router to have moved, so diffs never grow it.
+        self.moved.clear();
+        self.moved.reserve(positions.len());
+        for (i, &p) in positions.iter().enumerate() {
+            let set = grid.zones_containing(p, zones);
+            for &zi in set.as_slice() {
+                self.rosters[zi as usize].push(RouterId(i));
+            }
+            self.occupancy[set.home(zones.len())] += 1;
+        }
+    }
+}
+
+/// The giant member nearest `center` other than `exclude`, by distance²,
+/// then id, through one zone's `memo`.
+fn nearest_giant(
+    memo: &mut Option<NearestGiant>,
+    center: Point,
+    topo: &WmnTopology,
+    exclude: RouterId,
+) -> Option<RouterId> {
+    match *memo.get_or_insert_with(|| rank_nearest_giant(topo, center)) {
+        NearestGiant::Ranked(first, second) => {
+            if first == Some(exclude) {
+                second
+            } else {
+                first
+            }
+        }
+        NearestGiant::Unordered => (0..topo.router_count())
+            .map(RouterId)
+            .filter(|&id| id != exclude && topo.in_giant(id))
+            .min_by(|&a, &b| {
+                let da = topo.position(a).distance_squared(center);
+                let db = topo.position(b).distance_squared(center);
+                da.partial_cmp(&db)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.index().cmp(&b.index()))
+            }),
+    }
+}
+
+/// The two giant members nearest `center`, by distance², then id, in one
+/// scan in ascending id.
+fn rank_nearest_giant(topo: &WmnTopology, center: Point) -> NearestGiant {
+    let mut first: Option<(f64, RouterId)> = None;
+    let mut second: Option<(f64, RouterId)> = None;
+    for (i, p) in topo.positions().iter().enumerate() {
+        let id = RouterId(i);
+        if !topo.in_giant(id) {
+            continue;
+        }
+        let d = p.distance_squared(center);
+        if d.is_nan() {
+            return NearestGiant::Unordered;
+        }
+        // Ids ascend, so an equal distance never displaces a kept router.
+        if first.is_none_or(|(best, _)| d < best) {
+            second = first;
+            first = Some((d, id));
+        } else if second.is_none_or(|(next, _)| d < next) {
+            second = Some((d, id));
+        }
+    }
+    NearestGiant::Ranked(first.map(|(_, id)| id), second.map(|(_, id)| id))
 }
 
 impl SwapMovement {
@@ -364,22 +568,13 @@ impl SwapMovement {
             total_clients: client_map.total(),
             zones,
             grid: ZoneGrid::new(&client_map, &windows),
-            scratch: RefCell::new(ProposeScratch::default()),
+            state: RefCell::new(ZoneState::default()),
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &SwapConfig {
         &self.config
-    }
-
-    fn routers_into(&self, topo: &WmnTopology, rect: &Rect, out: &mut Vec<RouterId>) {
-        out.clear();
-        out.extend(
-            (0..topo.router_count())
-                .map(RouterId)
-                .filter(|&id| rect.contains(topo.position(id))),
-        );
     }
 
     fn weakest(&self, topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
@@ -391,8 +586,12 @@ impl SwapMovement {
         })
     }
 
-    fn strongest(&self, topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
-        ids.iter().copied().max_by(|&a, &b| {
+    fn strongest(
+        &self,
+        topo: &WmnTopology,
+        ids: impl Iterator<Item = RouterId>,
+    ) -> Option<RouterId> {
+        ids.max_by(|&a, &b| {
             topo.radius(a)
                 .partial_cmp(&topo.radius(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -417,24 +616,17 @@ impl Movement for SwapMovement {
     }
 
     fn propose(&self, topo: &WmnTopology, rng: &mut dyn RngCore) -> MoveAction {
-        let mut scratch = self.scratch.borrow_mut();
-        let ProposeScratch {
-            routers_per_zone,
+        let mut state = self.state.borrow_mut();
+        state.sync(topo, &self.grid, &self.zones);
+        let ZoneState {
+            occupancy,
+            rosters,
+            nearest_giant: nearest_giant_memo,
             dense_pool,
             sparse_pool,
-            sparse_routers,
-            dense_routers,
-            non_giant,
-        } = &mut *scratch;
-
-        // Current router occupancy per zone, in one pass over the routers;
-        // routers in no zone fall into the last slot.
-        routers_per_zone.clear();
-        routers_per_zone.resize(self.zones.len() + 1, 0);
-        for i in 0..topo.router_count() {
-            routers_per_zone[self.grid.zone_of(topo.position(RouterId(i)), &self.zones)] += 1;
-        }
-        let routers_per_zone = &routers_per_zone[..self.zones.len()];
+            ..
+        } = &mut *state;
+        let routers_per_zone = &occupancy[..self.zones.len()];
 
         // The paper's "dense threshold", operationalized as a router
         // deficit: a dense zone keeps attracting routers while it holds
@@ -500,24 +692,24 @@ impl Movement for SwapMovement {
         // mode prefer a router *outside* the giant component — pulling a
         // giant member out would tear down the connectivity the move is
         // meant to build.
-        self.routers_into(topo, &sparse.rect, sparse_routers);
+        let sparse_routers = &rosters[sparse_zi];
         let strong = if relocate_mode {
-            non_giant.clear();
-            non_giant.extend(
+            self.strongest(
+                topo,
                 sparse_routers
                     .iter()
                     .copied()
                     .filter(|&id| !topo.in_giant(id)),
-            );
-            self.strongest(topo, non_giant)
-                .or_else(|| self.strongest(topo, sparse_routers))
+            )
+            .or_else(|| self.strongest(topo, sparse_routers.iter().copied()))
         } else {
-            self.strongest(topo, sparse_routers)
+            self.strongest(topo, sparse_routers.iter().copied())
         };
         let Some(strong) = strong else {
             return self.fallback_random(topo, rng);
         };
 
+        let dense_routers = &rosters[dense_zi];
         if relocate_mode {
             // Under-served dense zone: pull the strong router in ("swap with
             // an empty slot" — the documented gap-fill). The landing spot is
@@ -530,20 +722,16 @@ impl Movement for SwapMovement {
             // links under the mutual-range rule and would be rejected by
             // the improvement-only acceptance of Algorithm 1.
             let center = dense_rect.center();
-            self.routers_into(topo, &dense_rect, dense_routers);
-            dense_routers.retain(|&id| id != strong);
-            let anchor = pick(dense_routers, rng).copied().or_else(|| {
-                (0..topo.router_count())
-                    .map(RouterId)
-                    .filter(|&id| id != strong && topo.in_giant(id))
-                    .min_by(|&a, &b| {
-                        let da = topo.position(a).distance_squared(center);
-                        let db = topo.position(b).distance_squared(center);
-                        da.partial_cmp(&db)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.index().cmp(&b.index()))
-                    })
-            });
+            // The occupants other than `strong`, drawn from as if `strong`
+            // had been filtered out of the roster.
+            let skip = dense_routers.binary_search(&strong).ok();
+            let occupants = dense_routers.len() - usize::from(skip.is_some());
+            let anchor = if occupants > 0 {
+                let k = rng.gen_range(0..occupants);
+                Some(dense_routers[k + usize::from(skip.is_some_and(|s| k >= s))])
+            } else {
+                nearest_giant(&mut nearest_giant_memo[dense_zi], center, topo, strong)
+            };
             let to = match anchor {
                 Some(anchor) => {
                     let a = topo.position(anchor);
@@ -563,7 +751,6 @@ impl Movement for SwapMovement {
 
         // Step 4 + 7: the literal Algorithm 3 swap — weakest router of the
         // dense zone exchanges positions with the strong one.
-        self.routers_into(topo, &dense_rect, dense_routers);
         match self.weakest(topo, dense_routers) {
             Some(weak) if weak != strong => MoveAction::Swap { a: weak, b: strong },
             _ => self.fallback_random(topo, rng),

@@ -8,6 +8,13 @@
 //! and asserts the allocation count stayed at zero. It covers both
 //! movements at paper scale and at 4× the paper's routers and clients.
 //!
+//! The swap movement keeps zone rosters between proposals, so the gate
+//! also covers steps that change the state: it warms `PHASES` phases that
+//! each apply their best neighbour from a state S0, resets the topology
+//! to S0 with `clone_from`, and replays the same phases armed. The first
+//! replayed proposal re-homes every router the warm-up moved; no roster
+//! insert or remove may touch the heap.
+//!
 //! This file holds exactly one `#[test]` on purpose: the libtest harness
 //! runs tests of a binary concurrently, and any neighbor test's
 //! allocations would leak into the gate's counter.
@@ -19,6 +26,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use rand::RngCore;
+use wmn_graph::topology::WmnTopology;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::Area;
@@ -26,7 +35,7 @@ use wmn_model::instance::{InstanceSpec, ProblemInstance};
 use wmn_model::radio::RadioProfile;
 use wmn_model::rng::rng_from_seed;
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
-use wmn_search::neighborhood::{best_neighbor, ExplorationBudget};
+use wmn_search::neighborhood::{best_neighbor, BestNeighbor, ExplorationBudget};
 
 /// Forwards to the system allocator, counting heap operations (allocs and
 /// reallocs; frees are free) while the gate is armed.
@@ -75,6 +84,29 @@ fn normal_instance(scale: usize, seed: u64) -> ProblemInstance {
     .unwrap()
 }
 
+/// Phases replayed from a reset topology in the state-changing part.
+const PHASES: usize = 6;
+
+/// Runs `PHASES` phases of `best_neighbor`, each applying its best
+/// candidate, and returns the candidates.
+fn accepting_phases(
+    topo: &mut WmnTopology,
+    evaluator: &Evaluator<'_>,
+    movement: &dyn Movement,
+    budget: ExplorationBudget,
+    rng: &mut dyn RngCore,
+    out: &mut Vec<Option<BestNeighbor>>,
+) {
+    out.clear();
+    for _ in 0..PHASES {
+        let best = best_neighbor(topo, evaluator, movement, budget, rng);
+        if let Some(best) = &best {
+            best.action.apply(topo);
+        }
+        out.push(best);
+    }
+}
+
 #[test]
 fn steady_state_best_neighbor_phase_allocates_nothing() {
     for scale in [1, 4] {
@@ -115,6 +147,53 @@ fn steady_state_best_neighbor_phase_allocates_nothing() {
             // The gated phase really did the work.
             assert_eq!(replay, warm, "{} phase did not replay", movement.name());
             assert!(replay.is_some());
+
+            // State-changing steps: warm `PHASES` accepting phases from
+            // S0, reset to S0 and replay them armed.
+            let start = topo.clone();
+            let mut warm_steps = Vec::with_capacity(PHASES);
+            let mut replay_steps = Vec::with_capacity(PHASES);
+            let (mut warm_rng, mut replay_rng) = (rng_from_seed(11), rng_from_seed(11));
+            accepting_phases(
+                &mut topo,
+                &evaluator,
+                movement.as_ref(),
+                budget,
+                &mut warm_rng,
+                &mut warm_steps,
+            );
+            assert_ne!(
+                topo.placement(),
+                start.placement(),
+                "{} warm-up moved no router",
+                movement.name()
+            );
+            topo.clone_from(&start);
+
+            HEAP_OPS.store(0, Ordering::SeqCst);
+            ARMED.store(true, Ordering::SeqCst);
+            accepting_phases(
+                &mut topo,
+                &evaluator,
+                movement.as_ref(),
+                budget,
+                &mut replay_rng,
+                &mut replay_steps,
+            );
+            ARMED.store(false, Ordering::SeqCst);
+
+            assert_eq!(
+                HEAP_OPS.load(Ordering::SeqCst),
+                0,
+                "replayed state-changing {} phases at scale {scale} touched the heap",
+                movement.name()
+            );
+            assert_eq!(
+                replay_steps,
+                warm_steps,
+                "{} phases did not replay",
+                movement.name()
+            );
         }
         topo.assert_consistent();
     }

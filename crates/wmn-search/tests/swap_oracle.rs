@@ -9,6 +9,13 @@
 //! routers sitting exactly on window edges and shared corners, where the
 //! closed rectangles of adjacent zones overlap and rank decides.
 //!
+//! The production movement keeps zone state between proposals and
+//! updates it only for routers that moved, so the oracle is also run
+//! along stateful walks: every proposal is checked, then applied and kept
+//! or undone by a seeded coin, with some moves forced onto window edges
+//! and the area's border; and one movement alternates between two
+//! unrelated topologies, so every router changes between calls.
+//!
 //! The vendored proptest shim does not shrink, so every assertion names the
 //! case seed; rerun a failure by pinning that seed.
 
@@ -265,21 +272,39 @@ fn assert_proposals_match(
     let mut fast_rng = rng_from_seed(rng_seed);
     let mut oracle_rng = rng_from_seed(rng_seed);
     for step in 0..steps {
-        let fast = movement.propose(topo, &mut fast_rng);
-        let slow = oracle.propose(topo, &mut oracle_rng);
-        assert_eq!(
-            fast,
-            slow,
-            "{what}: rng seed {rng_seed}, step {step}, config {:?}",
-            movement.config()
-        );
-        assert_eq!(
-            fast_rng.next_u64(),
-            oracle_rng.next_u64(),
-            "{what}: rng seed {rng_seed}, step {step}: RNG streams diverged, config {:?}",
-            movement.config()
+        let what = format!("{what}: rng seed {rng_seed}, step {step}");
+        assert_one_proposal_matches(
+            movement,
+            oracle,
+            topo,
+            &mut fast_rng,
+            &mut oracle_rng,
+            &what,
         );
     }
+}
+
+/// Proposes one move from the production movement and the oracle, each on
+/// its own RNG (the two in step), asserting equal actions and equal next
+/// draws; returns the action.
+fn assert_one_proposal_matches(
+    movement: &SwapMovement,
+    oracle: &LinearScanSwap,
+    topo: &WmnTopology,
+    fast_rng: &mut dyn RngCore,
+    oracle_rng: &mut dyn RngCore,
+    what: &str,
+) -> MoveAction {
+    let fast = movement.propose(topo, fast_rng);
+    let slow = oracle.propose(topo, oracle_rng);
+    assert_eq!(fast, slow, "{what}, config {:?}", movement.config());
+    assert_eq!(
+        fast_rng.next_u64(),
+        oracle_rng.next_u64(),
+        "{what}: RNG streams diverged, config {:?}",
+        movement.config()
+    );
+    fast
 }
 
 /// Positions on the boundaries of the `cells × cells` grid over `area`,
@@ -399,6 +424,109 @@ proptest! {
                         best.action.apply(&mut topo);
                         current = best.evaluation.fitness;
                     }
+                }
+            }
+        }
+    }
+}
+
+/// One position on a window edge, a shared window corner or the area's
+/// border (where clamped moves land).
+fn edge_point(instance: &ProblemInstance, cells: usize, rng: &mut dyn RngCore) -> Point {
+    let area = instance.area();
+    let (w, h) = (area.width(), area.height());
+    let xs = edge_coordinates(w, cells);
+    let ys = edge_coordinates(h, cells);
+    match rng.gen_range(0..4) {
+        0 => Point::new(
+            xs[rng.gen_range(0..xs.len())],
+            ys[rng.gen_range(0..ys.len())],
+        ),
+        1 => Point::new(xs[rng.gen_range(0..xs.len())], rng.gen_range(0.0..=h)),
+        2 => Point::new(rng.gen_range(0.0..=w), ys[rng.gen_range(0..ys.len())]),
+        // Far outside the area: the move clamps onto its border.
+        _ => Point::new(
+            rng.gen_range(-w..=2.0 * w),
+            [-h, 2.0 * h][rng.gen_range(0..2)],
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn stateful_walks_match_the_linear_scan(seed in any::<u64>()) {
+        // One movement follows a topology through 200 applied moves, kept
+        // or undone by a seeded coin as annealing does, so its kept state
+        // sees moves, undos and moves that never happened (undone before
+        // the next proposal). Every fourth step moves a router onto a
+        // window edge or the area's border instead of the proposal.
+        eprintln!("stateful walk: seed {seed}");
+        for scale in [1, 4] {
+            let instance = normal_instance(scale, seed);
+            let evaluator = Evaluator::paper_default(&instance);
+            for config in configs() {
+                let movement = SwapMovement::new(&instance, config);
+                let oracle = LinearScanSwap::new(&instance, config);
+                let mut walk_rng = rng_from_seed(seed ^ 0x5A11);
+                let placement = adversarial_placement(&instance, config.cells, &mut walk_rng);
+                let mut topo = evaluator.topology(&placement).unwrap();
+                let rng_seed = walk_rng.next_u64();
+                let mut fast_rng = rng_from_seed(rng_seed);
+                let mut oracle_rng = rng_from_seed(rng_seed);
+                for step in 0..200 {
+                    let what = format!("stateful walk, seed {seed}, scale {scale}, step {step}");
+                    let proposed = assert_one_proposal_matches(
+                        &movement, &oracle, &topo, &mut fast_rng, &mut oracle_rng, &what,
+                    );
+                    let action = if step % 4 == 3 {
+                        MoveAction::Relocate {
+                            router: RouterId(walk_rng.gen_range(0..topo.router_count())),
+                            to: edge_point(&instance, config.cells, &mut walk_rng),
+                        }
+                    } else {
+                        proposed
+                    };
+                    let undo = action.apply(&mut topo);
+                    if walk_rng.gen_range(0..2) == 0 {
+                        undo.undo(&mut topo);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alternating_topologies_match_the_linear_scan(seed in any::<u64>()) {
+        // One movement proposes for two unrelated topologies of the same
+        // instance in turn, so every router differs from the positions it
+        // last saw on every call; each proposal is applied to its topology.
+        eprintln!("alternating topologies: seed {seed}");
+        for scale in [1, 4] {
+            let instance = normal_instance(scale, seed);
+            let evaluator = Evaluator::paper_default(&instance);
+            for config in configs() {
+                let movement = SwapMovement::new(&instance, config);
+                let oracle = LinearScanSwap::new(&instance, config);
+                let mut rng = rng_from_seed(seed ^ 0xA17);
+                let mut topos = [
+                    evaluator.topology(&instance.random_placement(&mut rng)).unwrap(),
+                    evaluator
+                        .topology(&adversarial_placement(&instance, config.cells, &mut rng))
+                        .unwrap(),
+                ];
+                let rng_seed = rng.next_u64();
+                let mut fast_rng = rng_from_seed(rng_seed);
+                let mut oracle_rng = rng_from_seed(rng_seed);
+                for step in 0..40 {
+                    let what =
+                        format!("alternating topologies, seed {seed}, scale {scale}, step {step}");
+                    let topo = &mut topos[step % 2];
+                    let action = assert_one_proposal_matches(
+                        &movement, &oracle, topo, &mut fast_rng, &mut oracle_rng, &what,
+                    );
+                    action.apply(topo);
                 }
             }
         }
