@@ -418,10 +418,10 @@ fn ablation_connectivity(c: &mut Criterion) {
 ///   movement's kept zone state is current, so the call is one bitwise
 ///   position compare plus the zone picks, at paper scale and ×64;
 /// * `move_back_{dynamic,rescan}` — one `move_router` and the move back
-///   that undoes it, at paper scale, ×16 and ×64, under the dynamic
-///   connectivity engine and the DSU-rescan reference. Both repair in
-///   time linear in the router count, so the gap between them is the
-///   per-move cost of component repair.
+///   that undoes it, at paper scale, ×16, ×64 and ×256, under the dynamic
+///   connectivity engine and the DSU-rescan reference. The dynamic engine
+///   repairs only the components a move touches, so its pair cost should
+///   stay about flat; the rescan is linear in the router count.
 fn ablation_search_step(c: &mut Criterion) {
     use wmn_graph::topology::ConnectivityMode;
     use wmn_search::movement::{Movement, SwapConfig, SwapMovement};
@@ -431,7 +431,14 @@ fn ablation_search_step(c: &mut Criterion) {
     // enough samples to hold it steady.
     let mut group = c.benchmark_group("ablation_search_step");
     group.sample_size(4000);
-    for (label, factor) in [("paper", 1u32), ("scale16", 16), ("scale64", 64)] {
+    // The ×256 point (16,384 routers) shows whether a move + undo pair
+    // stays flat as the instance grows or climbs with it.
+    for (label, factor) in [
+        ("paper", 1u32),
+        ("scale16", 16),
+        ("scale64", 64),
+        ("scale256", 256),
+    ] {
         let instance = Scenario::Normal
             .scaled_spec(ScenarioScale::proportional(factor))
             .expect("valid scaled spec")
@@ -440,7 +447,7 @@ fn ablation_search_step(c: &mut Criterion) {
         let evaluator = Evaluator::paper_default(&instance);
         let placement = instance.random_placement(&mut rng_from_seed(3));
         let side = instance.area().width();
-        if factor != 16 {
+        if matches!(factor, 1 | 64) {
             group.bench_function(BenchmarkId::new("propose_swap", label), |b| {
                 let topo = evaluator.topology(&placement).expect("builds");
                 let movement = SwapMovement::new(&instance, SwapConfig::default());

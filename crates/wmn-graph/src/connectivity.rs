@@ -3,17 +3,19 @@
 //!
 //! The paper's primary objective — giant-component size — makes
 //! connectivity the one derived quantity *every* move, swap, and GA child
-//! must refresh. The per-move path of the incremental topology engine used
-//! to do that with a whole-graph union–find rescan
-//! ([`Components::rebuild_incremental`]): reset *n* singletons, re-union
-//! all *m* edges, relabel. [`DynamicConnectivity`] replaces that rescan
-//! with **component-local repair** driven by the edge diff the grid-local
-//! edge repair already computes:
+//! must refresh. A whole-graph union–find rescan
+//! ([`Components::rebuild_incremental`]) does that in O(*n* + *m*) per
+//! repair. [`DynamicConnectivity`] replaces it with **component-local
+//! repair** driven by the edge diff the grid-local edge repair already
+//! computes. Component ids are stable (see the
+//! [`components`](crate::components) module docs), so a repair costs
+//! O(nodes and edges of the components it touches):
 //!
-//! * **Insertions are pure DSU unions.** Component labels are canonical
-//!   (`0..count`), so an inserted edge `(u, v)` merges the label classes of
-//!   its endpoints in a small union–find over *component ids* — O(α), no
-//!   node is touched.
+//! * **Insertions merge eagerly.** An inserted edge `(u, v)` joining two
+//!   ids relabels one side into the other: the non-giant side, or the
+//!   smaller one when neither is the giant. The side is enumerated by a
+//!   BFS restricted to its id over the final adjacency plus the
+//!   pending-deletion overlay, and its id joins the free-id stack.
 //! * **Deletions run a bounded bidirectional BFS** from the severed
 //!   endpoints to decide split-vs-still-connected. The search walks the
 //!   *final* adjacency lists plus an overlay of the not-yet-processed
@@ -26,58 +28,74 @@
 //!   top of the final adjacency.
 //!   If the endpoints meet, the component survived and nothing changes; if
 //!   one frontier exhausts, that side is a complete component of the
-//!   current graph and is split off by relabeling exactly its nodes.
+//!   current graph and moves to a fresh id from the free-id stack.
+//! * **Per-id state follows each touched id.** Sizes and the live count
+//!   change per merge and split. The giant is re-selected by comparing the
+//!   touched ids against the old giant; only a shrunken giant or a tie at
+//!   the maximum pays for a scan (`Components::reselect_giant`).
+//! * **Membership flips come out of the repair.** The engine logs every
+//!   relabeled node with its pre-repair id, so
+//!   [`DynamicConnectivity::membership_flips`] lists the nodes whose giant
+//!   membership changed without a whole-graph diff: relabeled nodes, plus
+//!   the members of both giants when the giant id switched.
 //! * **An explicit cost cap bounds every search.** When a deletion's
 //!   frontier exceeds the cap (default `128 + 8·⌈√n⌉` edge visits, see
-//!   [`DynamicConnectivity::set_cost_cap`]), the engine abandons the batch
-//!   and falls back to the one full [`Components::rebuild_incremental`]
-//!   rescan — correctness never depends on the cap.
+//!   [`DynamicConnectivity::set_cost_cap`]), or relabel plus search work
+//!   passes the whole-repair budget, the engine rolls the labels back and
+//!   falls back to one full [`Components::rebuild_incremental`] rescan —
+//!   correctness never depends on the cap.
 //!
-//! After the diff is applied, one fused O(*n*) pass rewrites the labels in
-//! canonical first-appearance order (the order BFS assigns), recounts the
-//! sizes, and re-picks the giant — so the resulting [`Components`] is
-//! **bit-identical** to a from-scratch build, and every downstream
-//! consumer (coverage rules, fitness, traces) sees exactly the reference
-//! results. The equivalence and proptest suites pin this.
+//! The resulting [`Components`] describes exactly the partition and giant
+//! of a from-scratch build (under the id-independent `==`), so every
+//! downstream consumer (coverage rules, fitness, traces) sees exactly the
+//! reference results. The equivalence and proptest suites pin this.
 //!
 //! Edge endpoints are `u32` router ids throughout (the crate-wide id-width
 //! invariant), matching the arena-backed adjacency lists; the overlay and
 //! search queues store the same width so a repair's working set stays
 //! compact.
 //!
-//! # Invariants (split detection)
+//! # Invariants (stable ids)
 //!
 //! Let `A` be the final adjacency and `D` the multiset of deleted edges of
-//! one repair. The engine processes all insertions first, then deletions
-//! in stream order against the graph `G = A ∪ pending(D)`:
+//! one repair. The engine loads `D` into the overlay, processes all
+//! insertions, then deletions in stream order against the graph
+//! `G = A ∪ pending(D)`:
 //!
-//! 1. *After the insertion phase* the label partition (read through the
-//!    id-DSU) equals the components of `A ∪ D`: the pre-repair edge set
-//!    plus insertions has the same component structure, because every
-//!    pre-repair edge either survived into `A` or is in `D`, and every
-//!    inserted edge either survived into `A` or was deleted again into `D`.
+//! 1. *During the insertion phase* each id class is a connected component
+//!    of the pre-repair edges plus the insertions processed so far. That
+//!    graph is a subgraph of `A ∪ D` (every pre-repair edge survived into
+//!    `A` or is in `D`; every inserted edge survived into `A` or was
+//!    deleted again into `D`), so a BFS over `A ∪ D` restricted to one id
+//!    enumerates exactly that class. After the last insertion the
+//!    partition equals the components of `A ∪ D`.
 //! 2. *Each deletion* `(u, v)` removes one overlay copy and re-certifies
 //!    `u ~ v` on the remaining `G`. Both endpoints are connected via the
 //!    edge being deleted an instant earlier, so the bidirectional search
 //!    either meets (partition unchanged) or exhausts one side `S`, which
-//!    is then a complete component of `G` and is split off. The partition
-//!    therefore always equals the components of the *current* `G`.
+//!    is then a complete component of `G` and moves to a fresh id. The
+//!    partition therefore always equals the components of the *current*
+//!    `G`, and per-id sizes and the live count follow every step.
 //! 3. *After the last deletion* `G = A`, so the partition is exactly the
-//!    final component structure; the canonicalization pass only renames.
+//!    final component structure. Only the giant remains to be re-picked,
+//!    from the touched ids or, when the old giant shrank or a touched id
+//!    ties the maximum, by a scan.
 //!
-//! Because splits happen strictly after all unions, a split's fresh label
-//! never has to be "un-merged" from the id-DSU.
+//! Because splits happen strictly after all merges, a fresh id never has
+//! to be merged again within the same repair.
 //!
 //! # Fallback rule
 //!
-//! The only fallback is the cost cap: a deletion whose bidirectional
-//! frontier scans more than the cap's edge visits aborts the batch, the
-//! overlay is torn down, and [`Components::rebuild_incremental`] repairs
-//! everything in one whole-graph rescan. The cap guarantees every repair
-//! costs at most O(deletions · cap + insertions + n) before the engine
+//! A deletion whose bidirectional frontier scans more than the cap's edge
+//! visits, or a repair whose relabel and search work passes about two
+//! rescans' worth, aborts the batch. The overlay is torn down, the logged
+//! relabels are undone, and [`Components::rebuild_incremental`] repairs
+//! everything in one whole-graph rescan (which also diffs the giant
+//! membership, O(*n*) like the rescan itself). The cap guarantees every
+//! repair costs at most O(deletions · cap + relabel work) before the engine
 //! resorts to the O(n + m) rescan, keeping the common case (local churn in
-//! a large graph) sub-linear in deletion count while pathological cuts
-//! (halving a giant component) stay correct.
+//! a large graph) sub-linear while pathological cuts (halving a giant
+//! component) stay correct.
 
 use crate::adjacency::MeshAdjacency;
 use crate::components::Components;
@@ -96,8 +114,7 @@ pub use wmn_obs::ConnectivityStats;
 pub enum RepairOutcome {
     /// The diff was applied component-locally and left the partition
     /// untouched (no merge joined components, no deletion split one): the
-    /// canonical labels, sizes, and giant are provably the pre-repair
-    /// ones, so even the canonicalization pass was skipped.
+    /// ids, sizes, and giant are the pre-repair ones.
     Unchanged,
     /// The diff was applied component-locally and the partition changed.
     Changed,
@@ -119,6 +136,51 @@ enum SearchOutcome {
 enum Side {
     A,
     B,
+}
+
+/// The nodes one repair relabeled, each once, with its pre-repair id:
+/// enough to list membership flips and to roll the labels back.
+#[derive(Debug, Clone, Default)]
+struct RelabelLog {
+    entries: Vec<(u32, u32)>,
+    /// `stamp[x] == epoch` iff node `x` is in `entries`.
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl RelabelLog {
+    fn begin(&mut self, n: usize) {
+        self.entries.clear();
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    fn contains(&self, x: u32) -> bool {
+        self.stamp[x as usize] == self.epoch
+    }
+
+    /// Moves node `x` to id `to`, logging its id on first touch.
+    #[inline]
+    fn relabel(&mut self, labels: &mut [u32], x: u32, to: u32) {
+        if self.stamp[x as usize] != self.epoch {
+            self.stamp[x as usize] = self.epoch;
+            self.entries.push((x, labels[x as usize]));
+        }
+        labels[x as usize] = to;
+    }
+
+    /// Restores every logged node's pre-repair id.
+    fn roll_back(&self, labels: &mut [u32]) {
+        for &(x, orig) in &self.entries {
+            labels[x as usize] = orig;
+        }
+    }
 }
 
 /// Component-local connectivity repair engine (see the module docs for the
@@ -153,23 +215,36 @@ enum Side {
 /// engine.apply_edge_diff(&after, &mut components, &[], &[(0, 1), (1, 2)], &mut uf, &mut scratch);
 /// assert_eq!(components, Components::from_adjacency(&after));
 /// assert_eq!(components.giant_size(), 1);
+/// // Node 0 stays the giant (the lowest node breaks the three-way tie);
+/// // nodes 1 and 2 left it.
+/// let mut flips = engine.membership_flips().to_vec();
+/// flips.sort_unstable();
+/// assert_eq!(flips, [1, 2]);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DynamicConnectivity {
-    /// Union–find over component *ids* (not nodes): insertions union here.
-    id_dsu: UnionFind,
     /// Pending-deletion overlay adjacency, populated per repair and torn
-    /// down before returning (`touched` tracks the dirtied rows).
+    /// down before returning (`overlay_rows` tracks the dirtied rows).
     extra: Vec<Vec<u32>>,
-    touched: Vec<u32>,
-    /// Bidirectional-search visit stamps (`epoch`-based, never refilled in
-    /// the hot path) and the two frontier queues; after an exhausted
-    /// search a queue holds the split side's complete node set.
+    overlay_rows: Vec<u32>,
+    /// Visit stamps (`epoch`-based, never refilled in the hot path) for
+    /// the bidirectional search and the giant-member walks, and the two
+    /// frontier queues; after an exhausted search a queue holds the split
+    /// side's complete node set.
     mark: Vec<u32>,
     epoch: u32,
     queue_a: Vec<u32>,
     queue_b: Vec<u32>,
+    /// The current repair's relabeled nodes and their pre-repair ids.
+    log: RelabelLog,
+    /// Ids whose membership the current repair changed, each with a node
+    /// inside it when recorded; the last entry per id is current.
+    touched_ids: Vec<(u32, u32)>,
+    /// Nodes whose giant membership the last repair or rescan flipped.
+    flips: Vec<u32>,
+    /// Pre-rescan giant membership, for the rescan's flip diff.
+    was_giant: Vec<bool>,
     /// `Some(cap)` overrides the default edge-visit budget per deletion.
     cost_cap: Option<usize>,
     stats: ConnectivityStats,
@@ -213,6 +288,54 @@ impl DynamicConnectivity {
         self.stats.reset();
     }
 
+    /// The nodes whose giant-component membership the last
+    /// [`apply_edge_diff`](DynamicConnectivity::apply_edge_diff) or
+    /// [`rescan_with_flips`](DynamicConnectivity::rescan_with_flips)
+    /// changed, each once, in no particular order. Valid until the next
+    /// call.
+    pub fn membership_flips(&self) -> &[u32] {
+        &self.flips
+    }
+
+    /// Whole-graph union–find rescan of `components` for `adj`
+    /// ([`Components::rebuild_incremental`]), counted in the
+    /// `rescan_nodes` / `rescan_edges` stats. Leaves
+    /// [`membership_flips`](DynamicConnectivity::membership_flips) alone.
+    pub fn rescan(
+        &mut self,
+        adj: &MeshAdjacency,
+        components: &mut Components,
+        uf: &mut UnionFind,
+        label_scratch: &mut Vec<u32>,
+    ) {
+        self.stats.rescan_nodes += adj.node_count() as u64;
+        self.stats.rescan_edges += adj.edge_count() as u64;
+        components.rebuild_incremental(adj, uf, label_scratch);
+    }
+
+    /// [`rescan`](DynamicConnectivity::rescan) that also records the
+    /// giant-membership flips against the pre-rescan `components` — an
+    /// O(*n*) diff, the same order as the rescan itself.
+    pub fn rescan_with_flips(
+        &mut self,
+        adj: &MeshAdjacency,
+        components: &mut Components,
+        uf: &mut UnionFind,
+        label_scratch: &mut Vec<u32>,
+    ) {
+        let n = components.node_count();
+        self.was_giant.clear();
+        self.was_giant
+            .extend((0..n).map(|x| components.in_giant(x)));
+        self.rescan(adj, components, uf, label_scratch);
+        self.flips.clear();
+        for (x, &was) in self.was_giant.iter().enumerate() {
+            if was != components.in_giant(x) {
+                self.flips.push(x as u32);
+            }
+        }
+    }
+
     /// Repairs `components` (which must describe the graph *before* the
     /// diff) to match `adj` (the graph *after* the diff), given the edge
     /// `inserted`/`deleted` lists (u32 endpoints), in any order and with
@@ -220,10 +343,12 @@ impl DynamicConnectivity {
     /// equals "post-graph edges plus deletions" as sets — exactly what
     /// per-node old-vs-new neighbor diffs produce. `fallback_uf` and
     /// `label_scratch` are the caller-owned buffers the whole-graph rescan
-    /// fallback (and the canonicalization pass) reuse.
+    /// fallback reuses.
     ///
     /// Returns how the repair went (see [`RepairOutcome`]); the resulting
-    /// `components` is canonical and identical in every case.
+    /// partition and giant are the same in every case, and
+    /// [`membership_flips`](DynamicConnectivity::membership_flips) lists
+    /// the nodes whose giant membership changed.
     ///
     /// # Panics
     ///
@@ -244,50 +369,72 @@ impl DynamicConnectivity {
             "components and adjacency must describe the same node set"
         );
         self.stats.repairs += 1;
+        self.flips.clear();
         if inserted.is_empty() && deleted.is_empty() {
             return RepairOutcome::Unchanged;
         }
         let n = adj.node_count();
         self.ensure_capacity(n);
-        let base = components.count();
-        self.id_dsu.reset(base + deleted.len());
+        self.log.begin(n);
+        self.touched_ids.clear();
+        let old_giant = components.giant_id();
+        let old_giant_size = components.giant_size() as u32;
+        let old_anchor = components.giant_anchor();
 
-        // Phase 1 — insertions are pure DSU unions over component ids.
+        // The overlay holds every deleted edge before the insertion phase:
+        // merge walks need `A ∪ D` (invariant 1).
+        for &(u, v) in deleted {
+            self.extra[u as usize].push(v);
+            self.extra[v as usize].push(u);
+            self.overlay_rows.push(u);
+            self.overlay_rows.push(v);
+        }
+        // Per-deletion cap plus a whole-repair budget of roughly two
+        // rescans' worth of edge work, charged for relabels and searches:
+        // once they have cost about as much as the fallback would, stop
+        // sinking work into them (only large batched diffs — GA crossover
+        // children at scale — ever get near this; single-move churn stays
+        // far below it).
+        let cap = self.cost_cap(n);
+        let budget = (2 * (n + 2 * adj.edge_count())).max(cap);
+        let mut spent = 0usize;
+        let mut capped = false;
+
+        // Phase 1 — insertions merge eagerly, relabeling the non-giant (or
+        // smaller) side so the giant's own members never move.
         self.stats.insertions += inserted.len() as u64;
         let mut merges = 0;
-        {
-            let labels = components.labels();
-            for &(u, v) in inserted {
-                if self
-                    .id_dsu
-                    .union(labels[u as usize] as usize, labels[v as usize] as usize)
-                {
-                    merges += 1;
-                }
+        for &(u, v) in inserted {
+            let (a, b) = {
+                let labels = components.labels();
+                (labels[u as usize], labels[v as usize])
+            };
+            if a == b {
+                continue;
+            }
+            merges += 1;
+            let sizes = components.sizes();
+            let (keep, drop, start) =
+                if a == old_giant || (b != old_giant && sizes[a as usize] >= sizes[b as usize]) {
+                    (a, b, v)
+                } else {
+                    (b, a, u)
+                };
+            spent += self.relabel_component(adj, components, start, drop, keep);
+            components.merge_ids(keep, drop);
+            self.touched_ids.push((keep, start));
+            if spent > budget {
+                capped = true;
+                break;
             }
         }
         self.stats.merges += merges;
 
         // Phase 2 — deletions, against the final adjacency plus the
         // overlay of still-pending deleted edges (one-at-a-time semantics).
-        for &(u, v) in deleted {
-            self.extra[u as usize].push(v);
-            self.extra[v as usize].push(u);
-            self.touched.push(u);
-            self.touched.push(v);
-        }
-        // Per-deletion cap plus a whole-repair visit budget of roughly two
-        // rescans' worth of edge work: once the searches have cost about as
-        // much as the fallback would, stop sinking work into them (only
-        // large batched diffs — GA crossover children at scale — ever get
-        // near this; single-move churn stays far below it).
-        let cap = self.cost_cap(n);
-        let budget = (2 * (n + 2 * adj.edge_count())).max(cap);
-        let mut spent = 0usize;
-        let mut next_fresh = base as u32;
         let mut splits = 0;
-        let mut capped = false;
-        for &(u, v) in deleted {
+        let deletions = if capped { &[][..] } else { deleted };
+        for &(u, v) in deletions {
             self.stats.deletions += 1;
             remove_one(&mut self.extra[u as usize], v);
             remove_one(&mut self.extra[v as usize], u);
@@ -302,10 +449,11 @@ impl DynamicConnectivity {
             if u_isolated
                 || (adj.neighbors(v as usize).is_empty() && self.extra[v as usize].is_empty())
             {
-                let lone = if u_isolated { u } else { v };
-                components.labels_mut()[lone as usize] = next_fresh;
-                next_fresh += 1;
+                let (lone, rest) = if u_isolated { (u, v) } else { (v, u) };
                 splits += 1;
+                self.queue_a.clear();
+                self.queue_a.push(lone);
+                spent += self.split(components, Side::A, rest);
                 continue;
             }
             // Triangle fast path: a neighbor shared by both endpoints in
@@ -328,16 +476,8 @@ impl DynamicConnectivity {
                 SearchOutcome::Connected => {}
                 SearchOutcome::Split(side) => {
                     splits += 1;
-                    let fresh = next_fresh;
-                    next_fresh += 1;
-                    let split_nodes = match side {
-                        Side::A => &self.queue_a,
-                        Side::B => &self.queue_b,
-                    };
-                    let labels = components.labels_mut();
-                    for &x in split_nodes {
-                        labels[x as usize] = fresh;
-                    }
+                    let rest = if side == Side::A { v } else { u };
+                    spent += self.split(components, side, rest);
                 }
                 SearchOutcome::CapExceeded => {
                     capped = true;
@@ -346,23 +486,164 @@ impl DynamicConnectivity {
             }
         }
         self.stats.splits += splits;
-        for &t in &self.touched {
+        for &t in &self.overlay_rows {
             self.extra[t as usize].clear();
         }
-        self.touched.clear();
+        self.overlay_rows.clear();
 
         if capped {
             self.stats.fallbacks += 1;
-            components.rebuild_incremental(adj, fallback_uf, label_scratch);
+            // Undo the relabels so the rescan diffs membership against
+            // the pre-repair giant (its per-id state is rebuilt anyway).
+            self.log.roll_back(components.labels_mut());
+            self.rescan_with_flips(adj, components, fallback_uf, label_scratch);
             return RepairOutcome::FellBack;
         }
         if merges == 0 && splits == 0 {
-            // No component joined and none split: the pre-repair canonical
-            // labels, sizes, and giant still describe the partition.
+            // No component joined and none split: the pre-repair ids,
+            // sizes, and giant still describe the partition.
             return RepairOutcome::Unchanged;
         }
-        components.relabel_canonical(&mut self.id_dsu, label_scratch);
+        if components.reselect_giant(old_giant_size, &self.touched_ids) {
+            self.stats.giant_rescans += 1;
+        }
+        self.collect_flips(adj, components, old_giant, old_anchor);
         RepairOutcome::Changed
+    }
+
+    /// Moves the component holding `start` (id `from`) to id `to`: a BFS
+    /// restricted to `from` over the final adjacency plus the overlay,
+    /// where relabeling doubles as the visited mark. Returns the work done
+    /// (nodes relabeled plus edges visited) for the repair budget.
+    fn relabel_component(
+        &mut self,
+        adj: &MeshAdjacency,
+        components: &mut Components,
+        start: u32,
+        from: u32,
+        to: u32,
+    ) -> usize {
+        let labels = components.labels_mut();
+        let queue = &mut self.queue_a;
+        queue.clear();
+        self.log.relabel(labels, start, to);
+        queue.push(start);
+        let mut head = 0;
+        let mut visits = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
+            for &w in adj
+                .neighbors(x as usize)
+                .iter()
+                .chain(self.extra[x as usize].iter())
+            {
+                visits += 1;
+                if labels[w as usize] == from {
+                    self.log.relabel(labels, w, to);
+                    queue.push(w);
+                }
+            }
+        }
+        self.stats.relabeled_nodes += queue.len() as u64;
+        visits + queue.len()
+    }
+
+    /// Moves a complete component of the current graph — the nodes in
+    /// `side`'s queue — to a fresh id, leaving `rest` (a node still
+    /// connected to the old id) behind. Returns the nodes relabeled.
+    fn split(&mut self, components: &mut Components, side: Side, rest: u32) -> usize {
+        let nodes = match side {
+            Side::A => &self.queue_a,
+            Side::B => &self.queue_b,
+        };
+        let from = components.labels()[rest as usize];
+        let fresh = components.split_off(from, nodes.len() as u32);
+        let labels = components.labels_mut();
+        for &x in nodes {
+            self.log.relabel(labels, x, fresh);
+        }
+        self.touched_ids.push((from, rest));
+        self.touched_ids.push((fresh, nodes[0]));
+        self.stats.relabeled_nodes += nodes.len() as u64;
+        nodes.len()
+    }
+
+    /// Fills `flips` after a component-local repair: a logged node flipped
+    /// when "had the old giant's id" and "has the new giant's id" differ.
+    /// An unlogged node kept its id, so it flipped only when the giant id
+    /// switched and that id is its own: the unlogged members of both
+    /// giants, walked from their anchors over the final adjacency. The old
+    /// giant never loses its id (merges keep it, splits leave it on the
+    /// rest), and `old_anchor` is its pre-repair anchor.
+    fn collect_flips(
+        &mut self,
+        adj: &MeshAdjacency,
+        components: &Components,
+        old_giant: u32,
+        old_anchor: u32,
+    ) {
+        let labels = components.labels();
+        let new_giant = components.giant_id();
+        for &(x, orig) in &self.log.entries {
+            if (orig == old_giant) != (labels[x as usize] == new_giant) {
+                self.flips.push(x);
+            }
+        }
+        if new_giant == old_giant {
+            return;
+        }
+        self.collect_unlogged_members(adj, labels, components.giant_anchor(), new_giant);
+        // The last touched entry of the old giant names a current member;
+        // untouched, it kept its pre-repair members and anchor.
+        let old_anchor = self
+            .touched_ids
+            .iter()
+            .rev()
+            .find(|&&(id, _)| id == old_giant)
+            .map_or(old_anchor, |&(_, a)| a);
+        self.collect_unlogged_members(adj, labels, old_anchor, old_giant);
+    }
+
+    /// Pushes onto `flips` every unlogged node of component `id`, found by
+    /// a BFS from `anchor` (a node of `id`) over the final adjacency.
+    fn collect_unlogged_members(
+        &mut self,
+        adj: &MeshAdjacency,
+        labels: &[u32],
+        anchor: u32,
+        id: u32,
+    ) {
+        let stamp = self.next_stamps(1);
+        let queue = &mut self.queue_a;
+        queue.clear();
+        self.mark[anchor as usize] = stamp;
+        queue.push(anchor);
+        let mut head = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
+            if !self.log.contains(x) {
+                self.flips.push(x);
+            }
+            for &w in adj.neighbors(x as usize) {
+                if self.mark[w as usize] != stamp && labels[w as usize] == id {
+                    self.mark[w as usize] = stamp;
+                    queue.push(w);
+                }
+            }
+        }
+    }
+
+    /// Reserves `k` fresh visit stamps and returns the first; `mark` is
+    /// only ever compared against current stamps, so stale values never
+    /// alias.
+    fn next_stamps(&mut self, k: u32) -> u32 {
+        if self.epoch >= u32::MAX - k {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        let first = self.epoch + 1;
+        self.epoch += k;
+        first
     }
 
     /// Bidirectional search from the endpoints of a just-deleted edge over
@@ -379,15 +660,8 @@ impl DynamicConnectivity {
         cap: usize,
         spent: &mut usize,
     ) -> SearchOutcome {
-        // Two fresh stamps per search; `mark` is only ever compared against
-        // the current pair, so stale values never alias.
-        if self.epoch >= u32::MAX - 2 {
-            self.mark.fill(0);
-            self.epoch = 0;
-        }
-        let mark_a = self.epoch + 1;
-        let mark_b = self.epoch + 2;
-        self.epoch += 2;
+        let mark_a = self.next_stamps(2);
+        let mark_b = mark_a + 1;
 
         self.queue_a.clear();
         self.queue_b.clear();
@@ -580,12 +854,21 @@ mod tests {
             }
             let next = MeshAdjacency::build(&area, &pts, &radii, model);
             let (ins, del) = edge_diff(&adj, &next);
+            let was: Vec<bool> = (0..n).map(|x| components.in_giant(x)).collect();
             engine.apply_edge_diff(&next, &mut components, &ins, &del, &mut uf, &mut scratch);
+            components.assert_invariants();
             assert_eq!(
                 components,
                 Components::from_adjacency(&next),
                 "drift at round {round} under {model}"
             );
+            // The reported flips are exactly the membership diff.
+            let mut flips = engine.membership_flips().to_vec();
+            flips.sort_unstable();
+            let expected: Vec<u32> = (0..n as u32)
+                .filter(|&x| was[x as usize] != components.in_giant(x as usize))
+                .collect();
+            assert_eq!(flips, expected, "flips at round {round} under {model}");
             adj = next;
         }
         engine.stats()

@@ -17,9 +17,11 @@
 //! * [`components`] — connected components and the giant component (the
 //!   paper's connectivity objective), rebuildable through reusable scratch.
 //! * [`connectivity`] — [`DynamicConnectivity`], component-local repair of
-//!   the component structure under edge insertions (pure DSU unions) and
-//!   deletions (bounded bidirectional BFS with a whole-graph-rescan
-//!   fallback) — the sub-linear engine behind per-move connectivity.
+//!   the component structure over stable component ids: insertions merge
+//!   two ids by relabeling the non-giant side, deletions run a bounded
+//!   bidirectional BFS (with a whole-graph-rescan fallback) and move a
+//!   split-off side to a fresh id — the sub-linear engine behind per-move
+//!   connectivity, which also reports the giant-membership flips.
 //! * [`density`] — client-density cell grids with summed-area tables
 //!   (HotSpot's zone ranking and the swap movement's dense/sparse areas).
 //! * [`topology`] — [`WmnTopology`], the materialized network with the

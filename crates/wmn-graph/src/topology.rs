@@ -22,12 +22,15 @@
 //!    re-counted). Otherwise the old-vs-new neighbor diffs become an edge
 //!    insert/delete stream for the **dynamic connectivity engine**
 //!    ([`DynamicConnectivity`], the default [`ConnectivityMode::Dynamic`]):
-//!    insertions union component ids, deletions run a bounded
-//!    component-local bidirectional BFS, and a whole-graph
-//!    [`Components::rebuild_incremental`] rescan remains only as the
-//!    engine's cost-cap fallback (and as the pinnable
-//!    [`ConnectivityMode::DsuRescan`] reference). Labels stay canonically
-//!    equal to the BFS labeling of a fresh build in every mode.
+//!    component ids are stable, insertions merge two ids by relabeling the
+//!    non-giant side, deletions run a bounded component-local
+//!    bidirectional BFS and move a split-off side to a fresh id, and a
+//!    whole-graph [`Components::rebuild_incremental`] rescan remains only
+//!    as the engine's cost-cap fallback (and as the pinnable
+//!    [`ConnectivityMode::DsuRescan`] reference). A repair costs
+//!    O(nodes and edges of the components it touches), and it reports the
+//!    routers whose giant membership flipped. The partition and giant
+//!    equal a fresh build's in every mode.
 //! 3. **Coverage.** Per-client *cover counts* (how many counting routers
 //!    reach each client) are maintained so a move only increments and
 //!    decrements the moved router's old and new disks, flipping `covered`
@@ -47,8 +50,12 @@
 //! * `positions`/`radii`/`router_index` agree at all times (the grid is
 //!   relocated *before* edge repair).
 //! * `adjacency` equals `MeshAdjacency::build` of the current positions;
-//!   `components` equals `Components::from_adjacency(adjacency)`
-//!   (canonical labels); `giant_mask[i] == components.in_giant(i)`.
+//!   `components` equals `Components::from_adjacency(adjacency)` as a
+//!   partition with the same giant (its ids are stable, not canonical),
+//!   and its per-id state passes [`Components::assert_invariants`]. No
+//!   per-router membership mask is kept: the routers whose giant
+//!   membership a repair changed come from the repair itself
+//!   ([`DynamicConnectivity::membership_flips`]).
 //! * `cover_count[c]` equals the number of counting routers whose disk
 //!   holds client `c`; `covered[c] == (cover_count[c] > 0)`;
 //!   `covered_count` equals the number of set bits.
@@ -57,11 +64,12 @@
 //!
 //! Under [`CoverageRule::GiantComponentOnly`], a changed edge set can flip
 //! the giant-component membership of routers that did not move; their disks
-//! would all need re-counting, so when any **non-moved** router's
-//! membership changes, coverage falls back to the one full
-//! [`recompute`](WmnTopology::rebuild_full)-style pass (still in place, no
-//! allocation). Under [`CoverageRule::AnyRouter`] membership is irrelevant
-//! and the delta path always applies. [`set_connectivity_mode`] selects the
+//! need re-counting too. Moves, swaps and batches all weigh the exact delta
+//! (moved disks plus flipped disks) against one full in-place
+//! [`recompute`](WmnTopology::rebuild_full)-style pass (a giant's worth of
+//! disks), and take the cheaper; both land the identical state. Under
+//! [`CoverageRule::AnyRouter`] membership is irrelevant and the delta path
+//! always applies. [`set_connectivity_mode`] selects the
 //! connectivity repair strategy ([`ConnectivityMode`]); [`set_rebuild_mode`]
 //! disables the incremental engine wholesale — every move then runs
 //! [`rebuild_full`](WmnTopology::rebuild_full) — which is the reference
@@ -79,7 +87,7 @@
 use crate::adjacency::{LinkModel, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
-use crate::connectivity::{ConnectivityStats, DynamicConnectivity, RepairOutcome};
+use crate::connectivity::{ConnectivityStats, DynamicConnectivity};
 use crate::dsu::UnionFind;
 use crate::spatial::{DynamicGrid, GridIndex};
 use serde::{Deserialize, Serialize};
@@ -117,18 +125,19 @@ impl fmt::Display for CoverageRule {
 }
 
 /// How a topology repairs connectivity (components + giant) after each
-/// move, swap, or batch application. All three strategies produce
-/// **bit-identical** state (pinned by the equivalence and proptest
-/// suites); they differ only in cost, and the two non-default ones exist
-/// as reference oracles and bench baselines.
+/// move, swap, or batch application. All three strategies produce the
+/// same partition, giant, and coverage — **bit-identical** observable
+/// state, pinned by the equivalence and proptest suites; only the opaque
+/// component ids may differ. They differ in cost, and the two non-default
+/// ones exist as reference oracles and bench baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum ConnectivityMode {
     /// Component-local dynamic repair (the default): the edge diff of the
     /// grid-local edge repair drives [`DynamicConnectivity`] — insertions
-    /// are pure DSU unions over component ids, deletions run a bounded
-    /// bidirectional component-local BFS, and the whole-graph rescan
-    /// remains only as the engine's cost-cap fallback.
+    /// merge two stable component ids by relabeling the non-giant side,
+    /// deletions run a bounded bidirectional component-local BFS, and the
+    /// whole-graph rescan remains only as the engine's cost-cap fallback.
     #[default]
     Dynamic,
     /// Whole-graph union–find rescan per repair
@@ -155,7 +164,7 @@ impl fmt::Display for ConnectivityMode {
 /// Self-check policy for the connectivity **degradation ladder**
 /// `Dynamic → DsuRescan → FullRebuild`.
 ///
-/// All three [`ConnectivityMode`]s produce bit-identical state, so
+/// All three [`ConnectivityMode`]s produce the same observable state, so
 /// demoting to a slower rung is always output-safe — it trades speed for
 /// simplicity when the fast engine shows signs of trouble. Two triggers
 /// exist, both off by default (a zero field disables its trigger, and
@@ -243,9 +252,6 @@ pub struct WmnTopology {
     router_index: DynamicGrid,
     adjacency: MeshAdjacency,
     components: Components,
-    /// `giant_mask[i] == components.in_giant(i)`, maintained so the
-    /// coverage delta can see *previous* membership during a move.
-    giant_mask: Vec<bool>,
     /// Per-client count of counting routers whose disk holds the client.
     cover_count: Vec<u32>,
     covered: Vec<bool>,
@@ -286,12 +292,11 @@ struct MoveScratch {
     new_a: Vec<u32>,
     old_b: Vec<u32>,
     new_b: Vec<u32>,
-    mask: Vec<bool>,
     batch: Vec<BatchEntry>,
-    /// Epoch-stamped batch-membership marks: router `i` belongs to the
-    /// current batch iff `moved_stamp[i] == move_epoch`. Starting a batch
-    /// bumps the epoch instead of clearing the array (an O(n) fill only on
-    /// the u32 wrap, every ~4 billion batches).
+    /// Epoch-stamped moved-router marks: router `i` was moved by the
+    /// current move, swap or batch iff `moved_stamp[i] == move_epoch`.
+    /// Starting one bumps the epoch instead of clearing the array (an O(n)
+    /// fill only on the u32 wrap, every ~4 billion repairs).
     moved_stamp: Vec<u32>,
     move_epoch: u32,
     /// Reusable disk-query buffer for cache-miss fills of the disk slab.
@@ -330,9 +335,9 @@ struct MoveScratch {
     audit_components: Option<Components>,
 }
 
-/// One unique moved router of a batch application
-/// ([`WmnTopology::apply_moves`]): whether its disk counted toward
-/// coverage before and after the repair (its pre-batch counted client set
+/// One unique moved router of a repair (a move, a swap, or a batch
+/// application): whether its disk counted toward coverage before and
+/// after the repair (its pre-batch counted client set
 /// survives in the disk cache, so no pre-batch position is needed).
 #[derive(Debug, Clone, Copy)]
 struct BatchEntry {
@@ -360,7 +365,6 @@ impl Clone for WmnTopology {
             router_index: self.router_index.clone(),
             adjacency: self.adjacency.clone(),
             components: self.components.clone(),
-            giant_mask: self.giant_mask.clone(),
             cover_count: self.cover_count.clone(),
             covered: self.covered.clone(),
             covered_count: self.covered_count,
@@ -390,7 +394,6 @@ impl Clone for WmnTopology {
         self.router_index.clone_from(&src.router_index);
         self.adjacency.clone_from(&src.adjacency);
         self.components.clone_from(&src.components);
-        self.giant_mask.clone_from(&src.giant_mask);
         self.cover_count.clone_from(&src.cover_count);
         self.covered.clone_from(&src.covered);
         self.covered_count = src.covered_count;
@@ -457,7 +460,6 @@ impl WmnTopology {
             router_index,
             adjacency,
             components,
-            giant_mask: Vec::new(),
             cover_count: vec![0; clients.len()],
             covered: vec![false; clients.len()],
             covered_count: 0,
@@ -467,7 +469,6 @@ impl WmnTopology {
             degradation: DegradationPolicy::default(),
             scratch: MoveScratch::default(),
         };
-        topo.refresh_giant_mask();
         topo.recompute_coverage();
         Ok(topo)
     }
@@ -498,12 +499,13 @@ impl WmnTopology {
             self.config.link_model,
             &self.router_index,
         );
-        self.components.rebuild_incremental(
-            &self.adjacency,
-            &mut self.scratch.uf,
-            &mut self.scratch.label_of_root,
-        );
-        self.refresh_giant_mask();
+        let MoveScratch {
+            uf,
+            label_of_root,
+            conn,
+            ..
+        } = &mut self.scratch;
+        conn.rescan(&self.adjacency, &mut self.components, uf, label_of_root);
         self.recompute_coverage();
     }
 
@@ -722,20 +724,13 @@ impl WmnTopology {
     }
 
     /// Whether router `i`'s disk currently counts toward client coverage,
-    /// per the *current* `giant_mask`.
+    /// per the *current* components.
     #[inline]
     fn is_counted(&self, i: usize) -> bool {
         match self.config.coverage_rule {
-            CoverageRule::GiantComponentOnly => self.giant_mask[i],
+            CoverageRule::GiantComponentOnly => self.components.in_giant(i),
             CoverageRule::AnyRouter => true,
         }
-    }
-
-    fn refresh_giant_mask(&mut self) {
-        let n = self.positions.len();
-        self.giant_mask.clear();
-        self.giant_mask
-            .extend((0..n).map(|i| self.components.in_giant(i)));
     }
 
     /// Adds router `i`'s disk (at its **current** position) to the
@@ -817,7 +812,7 @@ impl WmnTopology {
 
     /// Full coverage recomputation, in place: rebuilds cover counts, the
     /// covered mask, and the covered total (maintained incrementally as
-    /// bits flip — no trailing count scan) from the current `giant_mask`,
+    /// bits flip — no trailing count scan) from the current components,
     /// re-querying only routers whose disk cache is positionally stale.
     fn recompute_coverage(&mut self) {
         self.recompute_coverage_from(None);
@@ -921,21 +916,22 @@ impl WmnTopology {
     /// Repairs `components` for the current adjacency: component-locally
     /// through the dynamic engine (consuming the recorded edge events)
     /// under [`ConnectivityMode::Dynamic`], or by the whole-graph
-    /// union–find rescan under [`ConnectivityMode::DsuRescan`]. Returns
-    /// `true` when the component partition is **provably unchanged** (the
-    /// dynamic engine's [`RepairOutcome::Unchanged`]) — the giant mask is
-    /// then current as-is and the membership-diff pass can be skipped.
+    /// union–find rescan under [`ConnectivityMode::DsuRescan`]. Either way
+    /// [`DynamicConnectivity::membership_flips`] then lists the routers
+    /// whose giant membership changed; returns `false` when that list
+    /// cannot be trusted (a degradation-ladder audit replaced the
+    /// partition), so coverage must be recomputed in full.
     fn repair_components(&mut self) -> bool {
-        let unchanged = match self.connectivity_mode {
+        let MoveScratch {
+            uf,
+            label_of_root,
+            conn,
+            ins_events,
+            del_events,
+            ..
+        } = &mut self.scratch;
+        match self.connectivity_mode {
             ConnectivityMode::Dynamic => {
-                let MoveScratch {
-                    uf,
-                    label_of_root,
-                    conn,
-                    ins_events,
-                    del_events,
-                    ..
-                } = &mut self.scratch;
                 conn.apply_edge_diff(
                     &self.adjacency,
                     &mut self.components,
@@ -943,28 +939,22 @@ impl WmnTopology {
                     del_events,
                     uf,
                     label_of_root,
-                ) == RepairOutcome::Unchanged
+                );
             }
             ConnectivityMode::DsuRescan | ConnectivityMode::FullRebuild => {
-                let MoveScratch {
-                    uf, label_of_root, ..
-                } = &mut self.scratch;
-                self.components
-                    .rebuild_incremental(&self.adjacency, uf, label_of_root);
-                false
+                conn.rescan_with_flips(&self.adjacency, &mut self.components, uf, label_of_root);
             }
-        };
-        if self.degradation == DegradationPolicy::default() {
-            return unchanged;
         }
-        let audit_repaired = self.run_degradation_ladder();
-        unchanged && !audit_repaired
+        if self.degradation == DegradationPolicy::default() {
+            return true;
+        }
+        !self.run_degradation_ladder()
     }
 
     /// The degradation ladder's per-repair hook: streak detection plus the
     /// periodic partition audit. Returns `true` when an audit found — and
-    /// repaired — a divergent partition (the caller must then treat the
-    /// repair as "changed" so masks get rebuilt).
+    /// repaired — a divergent partition (the repair's membership flips are
+    /// then meaningless, and the caller must recompute coverage in full).
     fn run_degradation_ladder(&mut self) -> bool {
         let policy = self.degradation;
         if policy.fallback_streak_limit > 0 && self.connectivity_mode == ConnectivityMode::Dynamic {
@@ -1002,20 +992,21 @@ impl WmnTopology {
 
     /// Recomputes the component partition from the adjacency by the
     /// whole-graph union–find rescan and compares it with the engine's
-    /// (labels are canonical in every mode, so `==` is the right check).
-    /// On divergence: adopt the reference partition, demote one rung, and
-    /// report `true`.
+    /// (`==` compares partition, giant and per-component sizes whatever the
+    /// ids). On divergence: adopt the reference partition, demote one
+    /// rung, and report `true`.
     fn audit_partition(&mut self) -> bool {
         let MoveScratch {
             uf,
             label_of_root,
+            conn,
             degrade,
             audit_components,
             ..
         } = &mut self.scratch;
         degrade.audits += 1;
         let reference = audit_components.get_or_insert_with(|| self.components.clone());
-        reference.rebuild_incremental(&self.adjacency, uf, label_of_root);
+        conn.rescan(&self.adjacency, reference, uf, label_of_root);
         if *reference == self.components {
             return false;
         }
@@ -1025,30 +1016,116 @@ impl WmnTopology {
         true
     }
 
-    /// Repairs components (per the connectivity mode) and writes the fresh
-    /// giant mask into `scratch.mask`. Returns `true` when any router
-    /// **other than** `moved_a`/`moved_b` changed giant membership — the
-    /// coverage fallback trigger.
-    fn rebuild_components_incremental(&mut self, moved_a: usize, moved_b: usize) -> bool {
-        let unchanged = self.repair_components();
-        let mask = &mut self.scratch.mask;
-        if unchanged {
-            // Partition untouched: the mask is the current one, no
-            // membership diff to scan for.
-            mask.clone_from(&self.giant_mask);
-            return false;
+    /// Starts a new moved-router set: bumps `move_epoch` (sizing
+    /// `moved_stamp` first) and returns it.
+    fn begin_moved_set(&mut self) -> u32 {
+        let MoveScratch {
+            moved_stamp,
+            move_epoch,
+            ..
+        } = &mut self.scratch;
+        if moved_stamp.len() != self.positions.len() {
+            moved_stamp.clear();
+            moved_stamp.resize(self.positions.len(), 0);
+            *move_epoch = 0;
         }
-        let n = self.positions.len();
-        mask.clear();
-        let mut others_changed = false;
-        for (j, &was) in self.giant_mask.iter().enumerate().take(n) {
-            let is = self.components.in_giant(j);
-            mask.push(is);
-            if is != was && j != moved_a && j != moved_b {
-                others_changed = true;
+        if *move_epoch == u32::MAX {
+            moved_stamp.fill(0);
+            *move_epoch = 0;
+        }
+        *move_epoch += 1;
+        *move_epoch
+    }
+
+    /// Component and coverage repair after a link-changing single move or
+    /// swap of `routers` (distinct).
+    fn repair_after_relink(&mut self, routers: &[usize]) {
+        let mut batch = std::mem::take(&mut self.scratch.batch);
+        batch.clear();
+        let epoch = self.begin_moved_set();
+        for &i in routers {
+            self.scratch.moved_stamp[i] = epoch;
+            batch.push(BatchEntry {
+                router: i as u32,
+                counted_before: self.is_counted(i),
+                counted_after: false,
+            });
+        }
+        let flips_known = self.repair_components();
+        self.repair_coverage(&mut batch, flips_known, None);
+        self.scratch.batch = batch;
+    }
+
+    /// Coverage repair after a component repair, for the moved routers in
+    /// `batch` (stamped with the current `move_epoch`, `counted_before`
+    /// filled in). Under [`CoverageRule::AnyRouter`] only the moved disks
+    /// change. Under [`CoverageRule::GiantComponentOnly`] the exact delta —
+    /// the moved disks plus the non-moved routers whose membership flipped
+    /// (`flips_known`: the engine's flip list is exact) — competes against
+    /// one full in-place pass over every counting router's disk. Cover
+    /// counts commute, so both land the identical state; the cheaper runs.
+    fn repair_coverage(
+        &mut self,
+        batch: &mut [BatchEntry],
+        flips_known: bool,
+        donor: Option<&WmnTopology>,
+    ) {
+        if self.config.coverage_rule == CoverageRule::AnyRouter {
+            // Membership is irrelevant: only the moved disks changed.
+            self.scratch.counters.coverage_delta_repairs += 1;
+            for &BatchEntry { router: i, .. } in batch.iter() {
+                self.disk_remove(i as usize);
+                self.disk_add_from(i as usize, donor);
+            }
+            return;
+        }
+        for e in batch.iter_mut() {
+            e.counted_after = self.is_counted(e.router as usize);
+        }
+        let epoch = self.scratch.move_epoch;
+        let flipped_others = self
+            .scratch
+            .conn
+            .membership_flips()
+            .iter()
+            .filter(|&&j| self.scratch.moved_stamp[j as usize] != epoch)
+            .count();
+        let moved_ops: usize = batch
+            .iter()
+            .map(|e| usize::from(e.counted_before) + usize::from(e.counted_after))
+            .sum();
+        if !flips_known || flipped_others + moved_ops > self.components.giant_size() {
+            self.recompute_coverage_from(donor);
+            return;
+        }
+        self.scratch.counters.coverage_delta_repairs += 1;
+        // Exact delta. Cover counts commute, so only one order matters: a
+        // moved router's old disk leaves (through its cache, which still
+        // holds the counted set) before its new disk is added. Flip-offs
+        // run off the disk caches too; flip-ons of never-moved routers
+        // usually hit a positionally-valid cache. A flipped router's
+        // current membership tells which way it flipped.
+        for e in batch.iter() {
+            if e.counted_before {
+                self.disk_remove(e.router as usize);
             }
         }
-        others_changed
+        for k in 0..self.scratch.conn.membership_flips().len() {
+            let j = self.scratch.conn.membership_flips()[k] as usize;
+            if self.scratch.moved_stamp[j] == epoch {
+                continue;
+            }
+            if self.components.in_giant(j) {
+                self.disk_add(j);
+            } else {
+                self.disk_remove(j);
+            }
+        }
+        for e in batch.iter() {
+            if e.counted_after {
+                self.disk_add_from(e.router as usize, donor);
+            }
+        }
     }
 
     /// Moves router `id` to `new_position` and repairs the network
@@ -1097,31 +1174,7 @@ impl WmnTopology {
             return old;
         }
 
-        let counted_before = self.is_counted(i);
-        let others_changed = self.rebuild_components_incremental(i, i);
-        match self.config.coverage_rule {
-            CoverageRule::AnyRouter => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                self.disk_remove(i);
-                self.disk_add(i);
-            }
-            CoverageRule::GiantComponentOnly if others_changed => {
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                self.recompute_coverage();
-            }
-            CoverageRule::GiantComponentOnly => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                let counted_after = self.scratch.mask[i];
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                if counted_before {
-                    self.disk_remove(i);
-                }
-                if counted_after {
-                    self.disk_add(i);
-                }
-            }
-        }
+        self.repair_after_relink(&[i]);
         old
     }
 
@@ -1183,41 +1236,7 @@ impl WmnTopology {
             return;
         }
 
-        let counted_before_a = self.is_counted(ia);
-        let counted_before_b = self.is_counted(ib);
-        let others_changed = self.rebuild_components_incremental(ia, ib);
-        match self.config.coverage_rule {
-            CoverageRule::AnyRouter => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                self.disk_remove(ia);
-                self.disk_add(ia);
-                self.disk_remove(ib);
-                self.disk_add(ib);
-            }
-            CoverageRule::GiantComponentOnly if others_changed => {
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                self.recompute_coverage();
-            }
-            CoverageRule::GiantComponentOnly => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                let counted_after_a = self.scratch.mask[ia];
-                let counted_after_b = self.scratch.mask[ib];
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                if counted_before_a {
-                    self.disk_remove(ia);
-                }
-                if counted_after_a {
-                    self.disk_add(ia);
-                }
-                if counted_before_b {
-                    self.disk_remove(ib);
-                }
-                if counted_after_b {
-                    self.disk_add(ib);
-                }
-            }
-        }
+        self.repair_after_relink(&[ia, ib]);
     }
 
     /// Writes the per-router relocations that morph this topology's current
@@ -1304,24 +1323,14 @@ impl WmnTopology {
         // that ran in between (`scratch.phases`). The snapshots are Copy
         // struct reads, amortized over the whole batch repair.
         let section_start = self.engine_stats();
-        // Record each unique moved router with its pre-batch position while
-        // updating positions and grid buckets in order; the epoch-stamped
-        // `moved_stamp` array is both the O(1) dedup test here and the
-        // batch-membership mask the component rebuild reads later — a new
-        // batch bumps `move_epoch` instead of clearing the stamps.
+        // Record each unique moved router while updating positions and grid
+        // buckets in order; the epoch-stamped `moved_stamp` array is both
+        // the O(1) dedup test here and the batch-membership mask the
+        // coverage repair reads later — a new batch bumps `move_epoch`
+        // instead of clearing the stamps.
         let mut batch = std::mem::take(&mut self.scratch.batch);
         batch.clear();
-        if self.scratch.moved_stamp.len() != self.positions.len() {
-            self.scratch.moved_stamp.clear();
-            self.scratch.moved_stamp.resize(self.positions.len(), 0);
-            self.scratch.move_epoch = 0;
-        }
-        if self.scratch.move_epoch == u32::MAX {
-            self.scratch.moved_stamp.fill(0);
-            self.scratch.move_epoch = 0;
-        }
-        self.scratch.move_epoch += 1;
-        let epoch = self.scratch.move_epoch;
+        let epoch = self.begin_moved_set();
         for &(id, to) in moves {
             let i = id.index();
             let old = self.positions[i];
@@ -1390,110 +1399,14 @@ impl WmnTopology {
         for e in &mut batch {
             e.counted_before = self.is_counted(e.router as usize);
         }
-        let flipped_others = self.rebuild_components_incremental_batch();
+        let flips_known = self.repair_components();
         let after_components = self.engine_stats();
         let component_delta = after_components.delta_since(&after_edges);
         self.scratch.phases.component_repair.merge(&component_delta);
-        match self.config.coverage_rule {
-            CoverageRule::AnyRouter => {
-                // Membership is irrelevant: only the moved disks changed.
-                self.scratch.counters.coverage_delta_repairs += 1;
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                for &BatchEntry { router: i, .. } in &batch {
-                    self.disk_remove(i as usize);
-                    self.disk_add_from(i as usize, donor);
-                }
-            }
-            CoverageRule::GiantComponentOnly => {
-                for e in &mut batch {
-                    e.counted_after = self.scratch.mask[e.router as usize];
-                }
-                // Disk-op budget of the exact delta repair (moved disks
-                // plus the non-moved routers whose membership flipped) vs
-                // the one full in-place pass (every counting router's
-                // disk). Cover counts commute, so both paths land the
-                // identical state; pick the cheaper one.
-                let moved_ops: usize = batch
-                    .iter()
-                    .map(|e| usize::from(e.counted_before) + usize::from(e.counted_after))
-                    .sum();
-                let full_ops = self.components.giant_size();
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
-                if flipped_others + moved_ops <= full_ops {
-                    self.scratch.counters.coverage_delta_repairs += 1;
-                    // Exact delta: removals first, then additions (grouped
-                    // passes; order is irrelevant for counts).
-                    // `scratch.mask` holds the *previous* membership,
-                    // `giant_mask` the new one. Removals and flip-offs run
-                    // off the disk caches; flip-ons of never-moved routers
-                    // usually hit a positionally-valid cache too.
-                    for &e in &batch {
-                        if e.counted_before {
-                            self.disk_remove(e.router as usize);
-                        }
-                    }
-                    if flipped_others > 0 {
-                        let old_mask = std::mem::take(&mut self.scratch.mask);
-                        let stamps = std::mem::take(&mut self.scratch.moved_stamp);
-                        let epoch = self.scratch.move_epoch;
-                        for j in 0..self.positions.len() {
-                            if stamps[j] != epoch && old_mask[j] && !self.giant_mask[j] {
-                                self.disk_remove(j);
-                            }
-                        }
-                        for j in 0..self.positions.len() {
-                            if stamps[j] != epoch && !old_mask[j] && self.giant_mask[j] {
-                                self.disk_add(j);
-                            }
-                        }
-                        self.scratch.mask = old_mask;
-                        self.scratch.moved_stamp = stamps;
-                    }
-                    for &e in &batch {
-                        if e.counted_after {
-                            self.disk_add_from(e.router as usize, donor);
-                        }
-                    }
-                } else {
-                    self.recompute_coverage_from(donor);
-                }
-            }
-        }
+        self.repair_coverage(&mut batch, flips_known, donor);
         self.scratch.batch = batch;
         let delta = self.engine_stats().delta_since(&after_components);
         self.scratch.phases.coverage.merge(&delta);
-    }
-
-    /// Like [`rebuild_components_incremental`]
-    /// (WmnTopology::rebuild_components_incremental) but for a batch:
-    /// returns how many routers **outside** the batch changed giant
-    /// membership (the flip count steering the coverage-repair choice).
-    /// Expects `scratch.moved_stamp` to carry the current `move_epoch` on
-    /// exactly the batch's routers — the membership mask
-    /// [`apply_moves`](WmnTopology::apply_moves) stamped while deduplicating.
-    fn rebuild_components_incremental_batch(&mut self) -> usize {
-        let unchanged = self.repair_components();
-        let n = self.positions.len();
-        let MoveScratch {
-            mask,
-            moved_stamp,
-            move_epoch,
-            ..
-        } = &mut self.scratch;
-        if unchanged {
-            mask.clone_from(&self.giant_mask);
-            return 0;
-        }
-        mask.clear();
-        let mut flipped_others = 0;
-        for (j, &was) in self.giant_mask.iter().enumerate().take(n) {
-            let is = self.components.in_giant(j);
-            mask.push(is);
-            if is != was && moved_stamp[j] != *move_epoch {
-                flipped_others += 1;
-            }
-        }
-        flipped_others
     }
 
     /// Rebuilds the router grid, adjacency, components, and coverage from
@@ -1509,13 +1422,12 @@ impl WmnTopology {
             self.config.link_model,
         );
         self.components = Components::from_adjacency(&self.adjacency);
-        self.refresh_giant_mask();
         self.recompute_coverage();
     }
 
-    /// Debug helper: asserts the incremental state — adjacency, components,
-    /// giant mask, cover counts, covered mask, covered total, and the
-    /// router-side grid — equals a fresh rebuild.
+    /// Debug helper: asserts the incremental state — adjacency, components
+    /// (partition, giant, and per-id state), cover counts, covered mask,
+    /// covered total, and the router-side grid — equals a fresh rebuild.
     ///
     /// # Panics
     ///
@@ -1526,6 +1438,7 @@ impl WmnTopology {
         // tiling of the slab data for both neighbor storage arenas.
         self.adjacency.assert_arena_invariants();
         self.disk_clients.assert_invariants();
+        self.components.assert_invariants();
         // Disk-cache invariants: a positionally-valid cache — and any
         // counted router's cache — must hold exactly the clients of the
         // router's current disk.
@@ -1557,10 +1470,6 @@ impl WmnTopology {
         assert_eq!(
             self.components, fresh.components,
             "components drifted from full rebuild"
-        );
-        assert_eq!(
-            self.giant_mask, fresh.giant_mask,
-            "giant mask drifted from components"
         );
         assert_eq!(
             self.cover_count, fresh.cover_count,
@@ -1737,6 +1646,145 @@ mod tests {
         let mut rng = rng_from_seed(seed);
         let placement = instance.random_placement(&mut rng);
         WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap()
+    }
+
+    /// Routers of fixed radius 10 (linked iff at most 10 apart under the
+    /// paper's mutual-range rule) at `points`, with a client on each.
+    fn fixture(points: &[Point]) -> WmnTopology {
+        let area = Area::square(100.0).unwrap();
+        let prof = RadioProfile::fixed(10.0).unwrap();
+        let instance = InstanceBuilder::new(area)
+            .routers(prof, points.len())
+            .clients(points.iter().copied())
+            .build()
+            .unwrap();
+        let placement = Placement::from_points(points.to_vec());
+        WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap()
+    }
+
+    /// Parking spot `k`: spots are 30 apart, so routers parked on distinct
+    /// spots never link.
+    fn spot(k: usize) -> Point {
+        Point::new(5.0 + 30.0 * (k % 4) as f64, 5.0 + 30.0 * (k / 4) as f64)
+    }
+
+    /// A point 5 to the right of spot `k`: linked to spot `k` only.
+    fn beside(k: usize) -> Point {
+        let p = spot(k);
+        Point::new(p.x + 5.0, p.y)
+    }
+
+    /// The repaired state equals a fresh build: partition, giant, per-id
+    /// state, and coverage.
+    fn check_fixture(topo: &WmnTopology, giant: &[usize]) {
+        topo.assert_consistent();
+        assert_eq!(
+            topo.components(),
+            &Components::from_adjacency(topo.adjacency())
+        );
+        assert_eq!(topo.components().giant_members(), giant);
+    }
+
+    #[test]
+    fn equal_maxima_created_in_either_order_pick_the_lowest_node() {
+        // {0,1} first, then {2,3}: the second pair ties and must lose.
+        let mut topo = fixture(&[spot(0), spot(1), spot(2), spot(3), spot(4)]);
+        check_fixture(&topo, &[0]);
+        topo.move_router(RouterId(1), beside(0));
+        check_fixture(&topo, &[0, 1]);
+        topo.move_router(RouterId(3), beside(2));
+        check_fixture(&topo, &[0, 1]);
+        // {2,3} first, then {0,1}: the later pair ties and must win.
+        let mut topo = fixture(&[spot(0), spot(1), spot(2), spot(3), spot(4)]);
+        topo.move_router(RouterId(3), beside(2));
+        check_fixture(&topo, &[2, 3]);
+        topo.move_router(RouterId(1), beside(0));
+        check_fixture(&topo, &[0, 1]);
+        // Undoing in either order walks the ties back.
+        topo.move_router(RouterId(3), spot(3));
+        check_fixture(&topo, &[0, 1]);
+        topo.move_router(RouterId(1), spot(1));
+        check_fixture(&topo, &[0]);
+    }
+
+    #[test]
+    fn lowest_node_leaving_the_giant_hands_the_tie_to_the_next_lowest() {
+        // Giant {0,3,4} (a chain 3-0-4 around spot 0), rival {1,2}.
+        let p0 = spot(0);
+        let mut topo = fixture(&[
+            p0,
+            spot(1),
+            beside(1),
+            Point::new(p0.x, p0.y + 8.0),
+            Point::new(p0.x + 8.0, p0.y),
+        ]);
+        check_fixture(&topo, &[0, 3, 4]);
+        // Node 0 was the giant's only link: {3}, {4} and the rival {1,2}
+        // remain, and {1,2} is now the unique maximum.
+        topo.move_router(RouterId(0), spot(5));
+        check_fixture(&topo, &[1, 2]);
+        // Back in the middle: the old giant returns.
+        topo.move_router(RouterId(0), p0);
+        check_fixture(&topo, &[0, 3, 4]);
+        // Node 0 leaves a giant that stays connected without it: {3,4}
+        // ties {1,2}, and node 1 is lower than node 3.
+        topo.move_router(RouterId(4), Point::new(p0.x + 6.0, p0.y + 8.0));
+        check_fixture(&topo, &[0, 3, 4]);
+        topo.move_router(RouterId(0), spot(5));
+        check_fixture(&topo, &[1, 2]);
+        // The moved-out node 0 rejoins the rival pair: {0,1,2} wins.
+        topo.move_router(RouterId(0), Point::new(spot(1).x, spot(1).y + 5.0));
+        check_fixture(&topo, &[0, 1, 2]);
+    }
+
+    #[test]
+    fn giant_keeping_its_size_but_losing_its_lowest_node_loses_the_tie() {
+        // Giant {0,3,4} (chain 3-0-4) ties the rival {1,2,5}; node 0 wins.
+        let p0 = spot(0);
+        let mut topo = fixture(&[
+            p0,
+            spot(1),
+            beside(1),
+            Point::new(p0.x, p0.y + 8.0),
+            Point::new(p0.x + 8.0, p0.y),
+            Point::new(spot(1).x + 10.0, spot(1).y),
+            spot(5),
+        ]);
+        check_fixture(&topo, &[0, 3, 4]);
+        // Node 6 takes node 0's place: the old giant keeps its id and its
+        // size, but its lowest node is now 3, so {1,2,5} wins the tie.
+        topo.swap_routers(RouterId(0), RouterId(6));
+        check_fixture(&topo, &[1, 2, 5]);
+        topo.swap_routers(RouterId(0), RouterId(6));
+        check_fixture(&topo, &[0, 3, 4]);
+    }
+
+    #[test]
+    fn merges_create_and_break_ties_at_the_maximum() {
+        // {0,1} is the giant by tie-break over {2,3}; node 4 is alone.
+        let mut topo = fixture(&[spot(0), beside(0), spot(2), beside(2), spot(5)]);
+        check_fixture(&topo, &[0, 1]);
+        // A merge breaks the tie: {2,3,4} outgrows {0,1}.
+        topo.move_router(RouterId(4), Point::new(spot(2).x, spot(2).y + 5.0));
+        check_fixture(&topo, &[2, 3, 4]);
+        // Node 4 moves over: {0,1,4} outgrows {2,3}, and the giant
+        // switches back.
+        topo.move_router(RouterId(4), Point::new(spot(0).x, spot(0).y + 5.0));
+        check_fixture(&topo, &[0, 1, 4]);
+        // Node 1 joins {2,3}: the giant switches to {1,2,3} over {0,4}.
+        topo.move_router(RouterId(1), Point::new(spot(2).x, spot(2).y + 5.0));
+        check_fixture(&topo, &[1, 2, 3]);
+        topo.move_router(RouterId(4), spot(7));
+        check_fixture(&topo, &[1, 2, 3]);
+        // Node 3 leaves: the giant shrinks to {1,2}, still the maximum.
+        topo.move_router(RouterId(3), spot(6));
+        check_fixture(&topo, &[1, 2]);
+        // A merge creates a tie: {0,4} matches {1,2} and node 0 is lower.
+        topo.move_router(RouterId(4), beside(0));
+        check_fixture(&topo, &[0, 4]);
+        // A swap trades members between the tied pairs: {1,4} and {0,2}.
+        topo.swap_routers(RouterId(0), RouterId(1));
+        check_fixture(&topo, &[0, 2]);
     }
 
     #[test]

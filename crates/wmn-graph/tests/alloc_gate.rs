@@ -3,10 +3,11 @@
 //! The delta-evaluation engine promises O(1) allocations in steady state:
 //! once a `WmnTopology` and its scratch buffers are warm, the GA's
 //! per-child cycle — `clone_from` a parent, `apply_moves` the placement
-//! diff — must never touch the heap. This test pins that promise with a
-//! counting global allocator: it warms a topology through one full cycle,
-//! switches the counter on, replays the identical cycle, and asserts the
-//! allocation count stayed at zero.
+//! diff — and the search's `move_router` / `swap_routers` + undo walk
+//! must never touch the heap. This test pins that promise with a counting
+//! global allocator: it warms a topology through each workload, switches
+//! the counter on, replays the identical workload from the identical
+//! state, and asserts the allocation count stayed at zero.
 //!
 //! This file holds exactly one `#[test]` on purpose: the libtest harness
 //! runs tests of a binary concurrently, and any neighbor test's
@@ -20,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use rand::Rng;
+use wmn_graph::connectivity::ConnectivityStats;
 use wmn_graph::topology::{TopologyConfig, WmnTopology};
 use wmn_model::geometry::Point;
 use wmn_model::instance::InstanceSpec;
@@ -99,4 +101,100 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
 
     // The gated cycle really did the work: state matches a fresh rebuild.
     work.assert_consistent();
+
+    // The search shape: single moves and swaps, each undone at once. The
+    // walk is replayed from the same state each round, so the armed round
+    // retraces the warm-up's repairs — merges, splits, giant switches,
+    // ties — with every buffer (free-id stack, relabel log, flip list)
+    // already grown.
+    let n = instance.router_count();
+    let walk: Vec<Step> = (0..300)
+        .map(|k| {
+            let a = RouterId(rng.gen_range(0..n));
+            if k % 4 == 3 {
+                Step::Swap(a, RouterId(rng.gen_range(0..n)))
+            } else {
+                Step::Move(
+                    a,
+                    Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+                )
+            }
+        })
+        .collect();
+    let mut shape = WalkShape::default();
+    for round in 0..3 {
+        work.clone_from(&base);
+        let before = work.connectivity_stats();
+        if round == 2 {
+            HEAP_OPS.store(0, Ordering::SeqCst);
+            ARMED.store(true, Ordering::SeqCst);
+        }
+        replay(&mut work, &walk, &mut shape);
+        ARMED.store(false, Ordering::SeqCst);
+        if round == 0 {
+            shape.stats = work.connectivity_stats().delta_since(&before);
+        }
+    }
+    assert_eq!(
+        HEAP_OPS.load(Ordering::SeqCst),
+        0,
+        "steady-state move_router / swap_routers + undo touched the heap"
+    );
+    // The walk exercised what the gate claims to cover.
+    assert!(shape.stats.merges > 0, "no merge: {shape:?}");
+    assert!(shape.stats.splits > 0, "no split: {shape:?}");
+    assert!(
+        shape.stats.giant_rescans > 0,
+        "no giant re-selection scan: {shape:?}"
+    );
+    assert!(shape.giant_switches > 0, "no giant switch: {shape:?}");
+    assert!(shape.ties > 0, "no tie at the maximum: {shape:?}");
+    work.assert_consistent();
+}
+
+/// One step of the single-move walk; each is undone right after.
+enum Step {
+    Move(RouterId, Point),
+    Swap(RouterId, RouterId),
+}
+
+/// What the walk replays went through: the first round's connectivity
+/// counters, and switches and ties summed over the identical rounds.
+#[derive(Debug, Default)]
+struct WalkShape {
+    /// Connectivity counters of the first round.
+    stats: ConnectivityStats,
+    /// Operations after which the giant had another component id.
+    giant_switches: usize,
+    /// Operations after which two components shared the maximum size.
+    ties: usize,
+}
+
+/// Applies every step of `walk` and its undo, noting giant switches and
+/// ties without allocating.
+fn replay(topo: &mut WmnTopology, walk: &[Step], shape: &mut WalkShape) {
+    let mut observe = |topo: &WmnTopology, giant: &mut Option<usize>| {
+        let now = topo.components().giant_label_opt();
+        shape.giant_switches += usize::from(now != *giant);
+        *giant = now;
+        let sizes = topo.components().sizes();
+        let max = sizes.iter().copied().max().unwrap_or(0);
+        shape.ties += usize::from(sizes.iter().filter(|&&s| s == max).count() > 1);
+    };
+    let mut giant = topo.components().giant_label_opt();
+    for step in walk {
+        match *step {
+            Step::Move(id, to) => {
+                let old = topo.move_router(id, to);
+                observe(topo, &mut giant);
+                topo.move_router(id, old);
+            }
+            Step::Swap(a, b) => {
+                topo.swap_routers(a, b);
+                observe(topo, &mut giant);
+                topo.swap_routers(a, b);
+            }
+        }
+        observe(topo, &mut giant);
+    }
 }

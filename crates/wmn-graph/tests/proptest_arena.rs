@@ -5,7 +5,7 @@
 //! epoch-stamped batch mask) through every repair path, and after each
 //! operation the engine must match the full-rebuild reference.
 //! [`WmnTopology::assert_consistent`] does the heavy lifting: beyond the
-//! observable state (adjacency, components, masks, cover counts) it
+//! observable state (adjacency, components, cover counts) it
 //! asserts the slab internals — span bounds, power-of-two capacities,
 //! acyclic free lists, and that live plus free blocks tile the arena
 //! exactly — so a leaked or overlapped block fails here even when the

@@ -2,8 +2,9 @@
 //! ([`ConnectivityMode::Dynamic`]) against the whole-graph DSU-rescan
 //! oracle ([`ConnectivityMode::DsuRescan`]) and the full-rebuild reference
 //! ([`ConnectivityMode::FullRebuild`]): interleaved move / swap / batch /
-//! undo streams must keep all three topologies **bit-identical** — labels,
-//! sizes, giant, masks, coverage — across all three [`LinkModel`]s and
+//! undo streams must keep all three topologies **identical** — partition,
+//! giant, per-component sizes (component ids are opaque and may differ),
+//! coverage — across all three [`LinkModel`]s and
 //! both coverage rules, including with a cost cap tiny enough to force the
 //! engine's rescan fallback mid-stream.
 

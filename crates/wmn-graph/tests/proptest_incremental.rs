@@ -2,10 +2,12 @@
 //! of [`WmnTopology`] to the full-rebuild ground truth: random interleaved
 //! `move_router` / `swap_routers` / undo sequences must keep
 //! `assert_consistent` green under **both** coverage rules and **all**
-//! link models, and the in-place workspace rebuild must equal a fresh
-//! build.
+//! link models, paper-scale walks mixing in `apply_moves` batches must
+//! stay green where equal-size maximal components are common, and the
+//! in-place workspace rebuild must equal a fresh build.
 
 use proptest::prelude::*;
+use rand::Rng;
 use wmn_graph::adjacency::LinkModel;
 use wmn_graph::topology::{CoverageRule, TopologyConfig, WmnTopology};
 use wmn_model::distribution::ClientDistribution;
@@ -132,6 +134,109 @@ fn run_sequence(instance: &ProblemInstance, config: TopologyConfig, steps: &[Ste
     assert_eq!(topo.giant_size(), initial.giant_size());
     assert_eq!(topo.covered_count(), initial.covered_count());
     assert_eq!(topo.covered_mask(), initial.covered_mask());
+}
+
+/// How to undo one step of a paper-scale walk.
+enum Undo {
+    Move(RouterId, Point),
+    Swap(RouterId, RouterId),
+    Batch(Vec<(RouterId, Point)>),
+}
+
+/// Whether two or more components share the maximum size — the states
+/// where the giant is decided by the lowest-node tie-break.
+fn tied_at_max(topo: &WmnTopology) -> bool {
+    let sizes = topo.components().sizes();
+    let max = sizes.iter().copied().max().unwrap_or(0);
+    max > 0 && sizes.iter().filter(|&&s| s == max).count() > 1
+}
+
+/// A walk on the paper's Normal instance (64 routers, 192 clients) built
+/// entirely from `seed`: single moves, swaps and `apply_moves` batches,
+/// each undone later or not at all, checking `assert_consistent` after
+/// every step. A quarter of the seeds pin a tiny connectivity cost cap so
+/// the engine's roll-back-and-rescan fallback runs mid-walk. Returns how
+/// many steps ended tied at the maximum component size.
+fn paper_scale_walk(seed: u64, steps: usize) -> usize {
+    let instance = InstanceSpec::paper_normal()
+        .unwrap()
+        .generate(seed % 8)
+        .unwrap();
+    let mut rng = rng_from_seed(seed);
+    let placement = instance.random_placement(&mut rng);
+    let mut topo =
+        WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+    if seed % 4 == 0 {
+        topo.set_connectivity_cost_cap(Some((seed / 4 % 4) as usize));
+    }
+    let n = topo.router_count();
+    let side = instance.area().width();
+    let mut undo_log = Vec::new();
+    let mut ties = 0;
+    for _ in 0..steps {
+        let point = |rng: &mut rand::rngs::StdRng| {
+            Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side))
+        };
+        match rng.gen_range(0..6) {
+            0 | 1 => {
+                let id = RouterId(rng.gen_range(0..n));
+                let old = topo.move_router(id, point(&mut rng));
+                undo_log.push(Undo::Move(id, old));
+            }
+            2 => {
+                let (a, b) = (RouterId(rng.gen_range(0..n)), RouterId(rng.gen_range(0..n)));
+                topo.swap_routers(a, b);
+                undo_log.push(Undo::Swap(a, b));
+            }
+            3 => {
+                let k = rng.gen_range(2..8);
+                let moves: Vec<(RouterId, Point)> = (0..k)
+                    .map(|_| (RouterId(rng.gen_range(0..n)), point(&mut rng)))
+                    .collect();
+                let mut inverse: Vec<(RouterId, Point)> = Vec::new();
+                for &(id, _) in &moves {
+                    if !inverse.iter().any(|&(u, _)| u == id) {
+                        inverse.push((id, topo.position(id)));
+                    }
+                }
+                topo.apply_moves(&moves);
+                undo_log.push(Undo::Batch(inverse));
+            }
+            _ => match undo_log.pop() {
+                Some(Undo::Move(id, p)) => {
+                    topo.move_router(id, p);
+                }
+                Some(Undo::Swap(a, b)) => topo.swap_routers(a, b),
+                Some(Undo::Batch(inverse)) => topo.apply_moves(&inverse),
+                None => {}
+            },
+        }
+        topo.assert_consistent();
+        ties += usize::from(tied_at_max(&topo));
+    }
+    ties
+}
+
+#[test]
+fn paper_scale_walks_reach_ties_at_the_maximum() {
+    // The property below is only as strong as its walks: they must reach
+    // states whose giant is decided by the tie-break, and often.
+    let ties: usize = (0..4).map(|seed| paper_scale_walk(seed, 60)).sum();
+    assert!(
+        ties >= 60,
+        "only {ties} of 240 steps were tied at the maximum"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn paper_scale_mixed_walks_with_undo_stay_consistent(seed in any::<u64>()) {
+        // Captured by the test harness; shown only when the case fails.
+        eprintln!("case seed {seed}");
+        paper_scale_walk(seed, 60);
+    }
 }
 
 proptest! {

@@ -20,7 +20,8 @@
 pub struct ConnectivityStats {
     /// Diff applications attempted (calls to `apply_edge_diff`).
     pub repairs: u64,
-    /// Edge insertions processed (each a DSU union over component ids).
+    /// Edge insertions processed (each joins two component ids or finds
+    /// them equal).
     pub insertions: u64,
     /// Edge deletions processed (each a bounded bidirectional search).
     pub deletions: u64,
@@ -37,6 +38,20 @@ pub struct ConnectivityStats {
     /// Repairs that exceeded the cost cap and fell back to the
     /// whole-graph DSU rescan.
     pub fallbacks: u64,
+    /// Nodes moved to another component id by a merge (the relabeled
+    /// side) or a split (the side moved to a fresh id). A node relabeled
+    /// twice in one repair counts twice.
+    pub relabeled_nodes: u64,
+    /// Scans run to re-select the giant component after a repair: the
+    /// giant shrank, or a touched component tied the maximum size.
+    pub giant_rescans: u64,
+    /// Nodes swept by whole-graph union–find rescans
+    /// (`Components::rebuild_incremental`): cost-cap fallbacks,
+    /// `DsuRescan`-mode repairs, partition audits and in-place
+    /// placement resets.
+    pub rescan_nodes: u64,
+    /// Edges unioned by the same whole-graph rescans.
+    pub rescan_edges: u64,
 }
 
 impl ConnectivityStats {
@@ -56,6 +71,10 @@ impl ConnectivityStats {
         self.bfs_edge_visits += other.bfs_edge_visits;
         self.triangle_shortcuts += other.triangle_shortcuts;
         self.fallbacks += other.fallbacks;
+        self.relabeled_nodes += other.relabeled_nodes;
+        self.giant_rescans += other.giant_rescans;
+        self.rescan_nodes += other.rescan_nodes;
+        self.rescan_edges += other.rescan_edges;
     }
 
     /// The counts accumulated since `earlier` was captured (saturating,
@@ -73,6 +92,10 @@ impl ConnectivityStats {
                 .triangle_shortcuts
                 .saturating_sub(earlier.triangle_shortcuts),
             fallbacks: self.fallbacks.saturating_sub(earlier.fallbacks),
+            relabeled_nodes: self.relabeled_nodes.saturating_sub(earlier.relabeled_nodes),
+            giant_rescans: self.giant_rescans.saturating_sub(earlier.giant_rescans),
+            rescan_nodes: self.rescan_nodes.saturating_sub(earlier.rescan_nodes),
+            rescan_edges: self.rescan_edges.saturating_sub(earlier.rescan_edges),
         }
     }
 
@@ -87,15 +110,21 @@ impl ConnectivityStats {
         f("bfs_edge_visits", self.bfs_edge_visits);
         f("triangle_shortcuts", self.triangle_shortcuts);
         f("fallbacks", self.fallbacks);
+        f("relabeled_nodes", self.relabeled_nodes);
+        f("giant_rescans", self.giant_rescans);
+        f("rescan_nodes", self.rescan_nodes);
+        f("rescan_edges", self.rescan_edges);
     }
 
     /// Splits the profile into its two repair stages — the phase
-    /// taxonomy of `DynamicConnectivity::repair`. Every counter belongs
-    /// statically to exactly one stage: insertions and the merges they
-    /// cause happen in the insert sweep; deletions and everything they
-    /// trigger (splits, search edge visits, triangle shortcuts, rescan
-    /// fallbacks) in the delete sweep. `repairs` counts whole calls and
-    /// belongs to neither stage (attribute it to the parent phase).
+    /// taxonomy of `DynamicConnectivity::repair`. Every stage counter
+    /// belongs statically to exactly one stage: insertions and the merges
+    /// they cause happen in the insert sweep; deletions and everything
+    /// they trigger (splits, search edge visits, triangle shortcuts, rescan
+    /// fallbacks) in the delete sweep. The rest belong to neither stage
+    /// (attribute them to the parent phase): `repairs` counts whole calls,
+    /// `relabeled_nodes` accrues in both sweeps, and `giant_rescans` and
+    /// the `rescan_*` sweeps run after them or outside the engine.
     #[must_use]
     pub fn stage_split(&self) -> (ConnectivityStats, ConnectivityStats) {
         let insert = ConnectivityStats {
@@ -486,8 +515,8 @@ impl EngineStats {
 
     /// Like [`record_counters`](EngineStats::record_counters), but
     /// attributes connectivity work one level deeper: topology,
-    /// degradation, and `connectivity.repairs` counters emit at the
-    /// recorder's current phase, while the per-stage connectivity
+    /// degradation, and the connectivity counters outside both stages
+    /// emit at the recorder's current phase, while the per-stage connectivity
     /// counters (see [`ConnectivityStats::stage_split`]) emit under
     /// child phases `insert` / `delete`. Flat totals are identical to a
     /// single `record_counters` call — only the attribution differs.
@@ -496,6 +525,10 @@ impl EngineStats {
             topology: self.topology,
             connectivity: ConnectivityStats {
                 repairs: self.connectivity.repairs,
+                relabeled_nodes: self.connectivity.relabeled_nodes,
+                giant_rescans: self.connectivity.giant_rescans,
+                rescan_nodes: self.connectivity.rescan_nodes,
+                rescan_edges: self.connectivity.rescan_edges,
                 ..ConnectivityStats::default()
             },
             degrade: self.degrade,
@@ -637,6 +670,10 @@ fn qualified_connectivity_name(name: &'static str) -> &'static str {
         "bfs_edge_visits" => "connectivity.bfs_edge_visits",
         "triangle_shortcuts" => "connectivity.triangle_shortcuts",
         "fallbacks" => "connectivity.fallbacks",
+        "relabeled_nodes" => "connectivity.relabeled_nodes",
+        "giant_rescans" => "connectivity.giant_rescans",
+        "rescan_nodes" => "connectivity.rescan_nodes",
+        "rescan_edges" => "connectivity.rescan_edges",
         other => other,
     }
 }
@@ -734,10 +771,10 @@ mod tests {
         e.connectivity.repairs = 2;
         let mut names = Vec::new();
         e.for_each(|name, _| names.push(name));
-        assert_eq!(names.len(), 12 + 8 + 4, "every field appears exactly once");
+        assert_eq!(names.len(), 12 + 12 + 4, "every field appears exactly once");
         assert_eq!(names[0], "topology.single_moves");
         assert_eq!(names[12], "connectivity.repairs");
-        assert_eq!(names[20], "degrade.audits");
+        assert_eq!(names[24], "degrade.audits");
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();
