@@ -1,9 +1,10 @@
 //! Ablation benchmarks for the workspace's main design choices: the
 //! uniform-grid spatial index, incremental topology repair, the
 //! delta-evaluated search and GA inner loops, the two halves of one
-//! search step, dynamic connectivity repair, union-find components, summed-area density windows and
-//! threaded GA evaluation. Each pits the chosen implementation against
-//! its reference alternative, described on the benchmark's doc comment.
+//! search step, adaptive connectivity repair, union-find components,
+//! summed-area density windows and threaded GA evaluation. Most pit the
+//! chosen implementation against its reference alternative, described on
+//! the benchmark's doc comment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, RngCore};
@@ -263,49 +264,21 @@ fn ablation_ga_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// The connectivity-repair ablation: dynamic component-local repair
-/// ([`ConnectivityMode::Dynamic`] — DSU unions for inserted edges, bounded
-/// bidirectional BFS for deleted ones) vs the whole-graph DSU rescan
-/// ([`ConnectivityMode::DsuRescan`], the previous engine), over two
-/// edge-churn shapes at paper scale, `--scale 4`, and `--scale 16`
-/// (64 / 256 / 1024 routers):
+/// Connectivity repair under two edge-churn shapes at paper scale,
+/// `--scale 4`, and `--scale 16` (64 / 256 / 1024 routers):
 ///
-/// * `churn_*` — the neighborhood-search shape: 8 move+undo pairs plus
-///   2 swap+unswap pairs per iteration (every repair a small edge diff);
-/// * `batch_*` — the GA-child shape: one `apply_moves` batch of
-///   `max(8, n/8)` relocations plus its inverse batch per iteration
-///   (each repair a large diff, the regime where the whole-graph rescan
-///   used to dominate).
+/// * `churn` — the neighborhood-search shape: 8 move+undo pairs plus
+///   2 swap+unswap pairs per iteration (every repair a small edge diff,
+///   always on the component-local route);
+/// * `batch` — the GA-child shape: one `apply_moves` batch of
+///   `max(8, n/8)` relocations plus its inverse batch per iteration (the
+///   repair-route rule sends these to the whole-graph rescan from
+///   `--scale 4` up).
 ///
-/// Both modes produce bit-identical states (pinned by the
-/// `proptest_connectivity` suite); only the repair strategy differs. The
-/// `batch_dynamic` benches also emit `meta_batch_deletions/<scale>` lines
-/// into `WMN_BENCH_JSON` — the measured deleted-edge count per iteration —
-/// so `scripts/bench_connectivity.sh` can derive the median per-deletion
-/// repair cost and check it scales sub-linearly.
+/// Each topology picks its own route per mutation, so there is no mode
+/// to compare; the `ablation_move_eval` bench measures the gap to the
+/// full-rebuild reference.
 fn ablation_connectivity(c: &mut Criterion) {
-    use wmn_graph::topology::ConnectivityMode;
-
-    /// Appends a pseudo-benchmark line to `WMN_BENCH_JSON` carrying a
-    /// measured count (same shape as the criterion shim's lines so the
-    /// aggregation scripts read both uniformly).
-    fn emit_meta(id: &str, value: f64) {
-        let Ok(path) = std::env::var("WMN_BENCH_JSON") else {
-            return;
-        };
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(
-                f,
-                "{{\"id\":\"{id}\",\"samples\":1,\"mean_ns\":{value},\"median_ns\":{value},\"best_ns\":{value}}}"
-            );
-        }
-    }
-
     /// Neighborhood-search-shaped churn: small per-repair edge diffs.
     fn churn_iter(topo: &mut WmnTopology, rng: &mut dyn RngCore, side: f64) -> usize {
         let n = topo.router_count();
@@ -367,46 +340,17 @@ fn ablation_connectivity(c: &mut Criterion) {
         let placement = instance.random_placement(&mut rng_from_seed(3));
         let side = instance.area().width();
         let k = (instance.router_count() / 8).max(8);
-        for (mode_label, mode) in [
-            ("dynamic", ConnectivityMode::Dynamic),
-            ("rescan", ConnectivityMode::DsuRescan),
-        ] {
-            group.bench_function(
-                BenchmarkId::new(&format!("churn_{mode_label}"), label),
-                |b| {
-                    let mut topo = evaluator.topology(&placement).expect("builds");
-                    topo.set_connectivity_mode(mode);
-                    let mut rng = rng_from_seed(4);
-                    b.iter(|| churn_iter(&mut topo, &mut rng, side));
-                },
-            );
-            group.bench_function(format!("batch_{mode_label}/{label}"), |b| {
-                if mode == ConnectivityMode::Dynamic {
-                    // Probe the deleted-edge count of the first iterations
-                    // (identical RNG stream to the timed loop) so the
-                    // artifact can report per-deletion repair cost.
-                    let mut probe = evaluator.topology(&placement).expect("builds");
-                    let mut rng = rng_from_seed(5);
-                    let (mut moves, mut undo) = (Vec::new(), Vec::new());
-                    let before = probe.connectivity_stats().deletions;
-                    let rounds = 8u64;
-                    for _ in 0..rounds {
-                        batch_iter(&mut probe, &mut rng, side, k, &mut moves, &mut undo);
-                    }
-                    let per_iter =
-                        (probe.connectivity_stats().deletions - before) as f64 / rounds as f64;
-                    emit_meta(
-                        &format!("ablation_connectivity/meta_batch_deletions/{label}"),
-                        per_iter,
-                    );
-                }
-                let mut topo = evaluator.topology(&placement).expect("builds");
-                topo.set_connectivity_mode(mode);
-                let mut rng = rng_from_seed(5);
-                let (mut moves, mut undo) = (Vec::new(), Vec::new());
-                b.iter(|| batch_iter(&mut topo, &mut rng, side, k, &mut moves, &mut undo));
-            });
-        }
+        group.bench_function(BenchmarkId::new("churn", label), |b| {
+            let mut topo = evaluator.topology(&placement).expect("builds");
+            let mut rng = rng_from_seed(4);
+            b.iter(|| churn_iter(&mut topo, &mut rng, side));
+        });
+        group.bench_function(BenchmarkId::new("batch", label), |b| {
+            let mut topo = evaluator.topology(&placement).expect("builds");
+            let mut rng = rng_from_seed(5);
+            let (mut moves, mut undo) = (Vec::new(), Vec::new());
+            b.iter(|| batch_iter(&mut topo, &mut rng, side, k, &mut moves, &mut undo));
+        });
     }
     group.finish();
 }
@@ -417,13 +361,12 @@ fn ablation_connectivity(c: &mut Criterion) {
 ///   unchanged topology, as between the neighbours of one phase: the
 ///   movement's kept zone state is current, so the call is one bitwise
 ///   position compare plus the zone picks, at paper scale and ×64;
-/// * `move_back_{dynamic,rescan}` — one `move_router` and the move back
-///   that undoes it, at paper scale, ×16, ×64 and ×256, under the dynamic
-///   connectivity engine and the DSU-rescan reference. The dynamic engine
-///   repairs only the components a move touches, so its pair cost should
-///   stay about flat; the rescan is linear in the router count.
+/// * `move_back` — one `move_router` and the move back that undoes it, at
+///   paper scale, ×16, ×64 and ×256. A single move always repairs
+///   connectivity on the component-local route, which touches only the
+///   components the move touches, so the pair cost should stay about flat
+///   as the router count grows.
 fn ablation_search_step(c: &mut Criterion) {
-    use wmn_graph::topology::ConnectivityMode;
     use wmn_search::movement::{Movement, SwapConfig, SwapMovement};
 
     // One call per sample. A move's cost is heavy-tailed (most moves touch
@@ -455,28 +398,19 @@ fn ablation_search_step(c: &mut Criterion) {
                 b.iter(|| movement.propose(&topo, &mut rng));
             });
         }
-        for (mode_label, mode) in [
-            ("dynamic", ConnectivityMode::Dynamic),
-            ("rescan", ConnectivityMode::DsuRescan),
-        ] {
-            group.bench_function(
-                BenchmarkId::new(&format!("move_back_{mode_label}"), label),
-                |b| {
-                    let mut topo = evaluator.topology(&placement).expect("builds");
-                    topo.set_connectivity_mode(mode);
-                    let n = topo.router_count();
-                    let mut rng = rng_from_seed(5);
-                    b.iter(|| {
-                        let id = RouterId(rng.gen_range(0..n));
-                        let to = Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side));
-                        let old = topo.move_router(id, to);
-                        let giant = topo.giant_size();
-                        topo.move_router(id, old);
-                        giant
-                    });
-                },
-            );
-        }
+        group.bench_function(BenchmarkId::new("move_back", label), |b| {
+            let mut topo = evaluator.topology(&placement).expect("builds");
+            let n = topo.router_count();
+            let mut rng = rng_from_seed(5);
+            b.iter(|| {
+                let id = RouterId(rng.gen_range(0..n));
+                let to = Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side));
+                let old = topo.move_router(id, to);
+                let giant = topo.giant_size();
+                topo.move_router(id, old);
+                giant
+            });
+        });
     }
     group.finish();
 }

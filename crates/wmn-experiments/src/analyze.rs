@@ -112,8 +112,6 @@ pub struct Doc {
     pub kind: DocKind,
     /// The producing binary (`telemetry.json` only).
     pub bin: Option<String>,
-    /// The connectivity mode of the run.
-    pub connectivity: Option<String>,
     /// Flat counter totals.
     pub counters: BTreeMap<String, u64>,
     /// Number of recorded histograms (`telemetry.json` only).
@@ -230,18 +228,12 @@ pub fn parse_doc(label: &Path, contents: &str) -> Result<Doc, ExperimentError> {
             .get("bin")
             .and_then(JsonValue::as_str)
             .map(str::to_owned),
-        connectivity: None,
         counters,
         histograms: 0,
         attribution: AttributionNode::default(),
     };
     match kind {
         DocKind::Telemetry => {
-            doc.connectivity = value
-                .get("config")
-                .and_then(|c| c.get("connectivity"))
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned);
             if let Some(JsonValue::Object(h)) = value.get("histograms") {
                 doc.histograms = h.len();
             }
@@ -261,12 +253,7 @@ pub fn parse_doc(label: &Path, contents: &str) -> Result<Doc, ExperimentError> {
                     .insert(name.clone(), attribution_from(child, &label_str)?);
             }
         }
-        DocKind::Baseline => {
-            doc.connectivity = value
-                .get("connectivity")
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned);
-        }
+        DocKind::Baseline => {}
     }
     Ok(doc)
 }
@@ -352,11 +339,7 @@ pub fn flame(doc: &Doc) -> Result<String, ExperimentError> {
     }
     let mut out = String::new();
     let bin = doc.bin.as_deref().unwrap_or("?");
-    let connectivity = doc.connectivity.as_deref().unwrap_or("?");
-    let _ = writeln!(
-        out,
-        "counter-weighted flamegraph: {bin} (connectivity={connectivity})"
-    );
+    let _ = writeln!(out, "counter-weighted flamegraph: {bin}");
     let flat = doc.counter_total();
     let attributed = doc.attribution.total();
     let _ = writeln!(
@@ -528,9 +511,6 @@ pub fn summarize(doc: &Doc) -> String {
         doc.bin.as_deref().unwrap_or("baseline")
     );
     let _ = writeln!(out, "source: {}", doc.path.display());
-    if let Some(connectivity) = &doc.connectivity {
-        let _ = writeln!(out, "connectivity: {connectivity}");
-    }
     // Counters of different families count different things (BFS edge
     // visits, moved routers, GA generations), so each family is summed
     // alone and never added to another.
@@ -595,11 +575,6 @@ pub fn render_baseline(doc: &Doc, workload: &str) -> String {
     let _ = writeln!(out, "  \"schema\": \"{BASELINE_SCHEMA}\",");
     let _ = writeln!(out, "  \"workload\": \"{}\",", json_escape(workload));
     let _ = writeln!(out, "  \"refresh\": \"{BASELINE_REFRESH}\",");
-    let _ = writeln!(
-        out,
-        "  \"connectivity\": \"{}\",",
-        json_escape(doc.connectivity.as_deref().unwrap_or("dynamic"))
-    );
     if doc.counters.is_empty() {
         out.push_str("  \"counters\": {}\n");
     } else {
@@ -729,10 +704,9 @@ pub fn run(args: &[String]) -> Result<Report, ExperimentError> {
                     write_file(&target, &rendered)?;
                     Ok(Report {
                         stdout: format!(
-                            "wrote {} ({} counters, connectivity={})\n",
+                            "wrote {} ({} counters)\n",
                             target.display(),
-                            doc.counters.len(),
-                            doc.connectivity.as_deref().unwrap_or("dynamic")
+                            doc.counters.len()
                         ),
                         exit_code: 0,
                     })
@@ -796,7 +770,6 @@ mod tests {
         let doc = sample_doc();
         assert_eq!(doc.kind, DocKind::Telemetry);
         assert_eq!(doc.bin.as_deref(), Some("fig3"));
-        assert_eq!(doc.connectivity.as_deref(), Some("dynamic"));
         assert_eq!(doc.counters["ga.generations"], 40);
         assert_eq!(doc.counters["topology.edges_linked"], 45);
         assert_eq!(doc.histograms, 1);
@@ -805,6 +778,15 @@ mod tests {
         assert_eq!(apply.children["edge_repair"].total(), 45);
         assert_eq!(apply.children["component_repair"].total(), 30);
         assert_eq!(apply.children["coverage"].total(), 25);
+        // Telemetry written before the connectivity modes were removed
+        // carries `"connectivity"` in its config block; it still reads.
+        let rendered =
+            render_telemetry_json("fig3", &ExperimentConfig::quick(), &sample_recorder());
+        let old = rendered.replacen("}", ",\"connectivity\":\"dynamic\"}", 1);
+        assert!(old.contains("\"scale_area\":1,\"connectivity\":\"dynamic\"}"));
+        let old = parse_doc(&label(), &old).unwrap();
+        assert_eq!(old.counters, doc.counters);
+        assert_eq!(old.attribution, doc.attribution);
     }
 
     #[test]
@@ -835,8 +817,18 @@ mod tests {
         let baseline = parse_doc(Path::new("COUNTERS_baseline.json"), &rendered).unwrap();
         assert_eq!(baseline.kind, DocKind::Baseline);
         assert_eq!(baseline.counters, doc.counters);
-        assert_eq!(baseline.connectivity.as_deref(), Some("dynamic"));
         assert!(baseline.attribution.is_empty());
+        // A baseline written before the connectivity modes were removed
+        // carries a `"connectivity"` header member; it still reads, and
+        // only its counters count.
+        let old = rendered.replacen(
+            "  \"counters\"",
+            "  \"connectivity\": \"dynamic\",\n  \"counters\"",
+            1,
+        );
+        assert!(old.contains("\"connectivity\": \"dynamic\""));
+        let old = parse_doc(Path::new("COUNTERS_baseline.json"), &old).unwrap();
+        assert_eq!(old.counters, baseline.counters);
     }
 
     #[test]
@@ -848,7 +840,7 @@ mod tests {
             rendered,
             "{\n  \"schema\": \"wmn-counters-baseline/v1\",\n  \"workload\": \"w\",\n  \
              \"refresh\": \"scripts/check_counters.sh --refresh\",\n  \
-             \"connectivity\": \"dynamic\",\n  \"counters\": {\n    \"a.b\": 1,\n    \
+             \"counters\": {\n    \"a.b\": 1,\n    \
              \"c\": 22\n  }\n}\n"
         );
     }

@@ -2,7 +2,8 @@
 //!
 //! The original figures are Excel line charts; offline, an ASCII grid with
 //! one glyph per series is enough to read off ordering and convergence
-//! shape. Rendered plots are embedded in EXPERIMENTS.md.
+//! shape. The figure binaries print each plot and write it to
+//! `fig<N>.txt` beside the figure's CSV and JSONL.
 
 use wmn_metrics::stats::Trace;
 

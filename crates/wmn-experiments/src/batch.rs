@@ -111,23 +111,24 @@ fn ga_cell_label(scenario: Scenario, index: usize) -> String {
     )
 }
 
-/// The batch's GA configuration: the experiment knobs plus the
-/// connectivity oracle choice mapped onto the evaluation pipeline.
-fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
+/// The GA configuration [`run_ga_batch`] runs: the experiment's
+/// population, generations and GA threads on the default (incremental)
+/// evaluation pipeline.
+pub fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
     GaConfig::builder()
         .population_size(config.population)
         .generations(config.generations)
         .threads(config.threads)
-        .eval_mode(config.ga_eval_mode())
         .build()
         .expect("experiment GA config is valid")
 }
 
 /// `base` with the connectivity cost cap floored to zero: every deletion
-/// search immediately falls back to the whole-graph rescan, making repair
-/// artificially expensive. This is the GA-side response to a
-/// `blowup@repair` sabotage — outcomes stay bit-identical (all repair
-/// paths agree), and the sabotaged attempt is doomed afterwards anyway.
+/// search on the local repair route immediately falls back to the
+/// whole-graph rescan, making repair artificially expensive. This is the
+/// GA-side response to a `blowup@repair` sabotage — outcomes stay
+/// bit-identical (all repair paths agree), and the sabotaged attempt is
+/// doomed afterwards anyway.
 fn sabotaged_ga_config(base: &GaConfig) -> GaConfig {
     let mut config = base.clone();
     config.connectivity_cost_cap = Some(0);
@@ -206,10 +207,29 @@ pub fn run_ga_batch(
     config: &ExperimentConfig,
     recorder: Option<&mut TelemetryRecorder>,
 ) -> Result<GaBatch, ExperimentError> {
+    run_ga_batch_with(scenario, config, &experiment_ga_config(config), recorder)
+}
+
+/// [`run_ga_batch`] with the GA configuration given instead of derived
+/// from `config` (which still supplies the instance, seeds, runtime and
+/// fault plan). Start from [`experiment_ga_config`]: setting its
+/// `eval_mode` to `GaEvalMode::Rebuild` runs the batch through the
+/// full-rebuild reference pipeline — same tables and figures, the
+/// reference's work counters — which is how the counter gate's negative
+/// test produces a pessimized profile.
+///
+/// # Errors
+///
+/// As [`run_ga_batch`].
+pub fn run_ga_batch_with(
+    scenario: Scenario,
+    config: &ExperimentConfig,
+    ga_config: &GaConfig,
+    recorder: Option<&mut TelemetryRecorder>,
+) -> Result<GaBatch, ExperimentError> {
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
+    let sabotaged = sabotaged_ga_config(ga_config);
 
     let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
     let outputs = run_isolated(
@@ -224,7 +244,7 @@ pub fn run_ga_batch(
                 config,
                 &instance,
                 &evaluator,
-                if ctx.sabotage { &sabotaged } else { &ga_config },
+                if ctx.sabotage { &sabotaged } else { ga_config },
                 *mi,
                 *method,
                 rec,
@@ -277,6 +297,38 @@ mod tests {
             }
         }
         format!("{:016x}", crate::checkpoint::fnv1a64(&bytes))
+    }
+
+    #[test]
+    fn blowup_sabotage_forces_degraded_work_with_identical_results() {
+        // A `blowup@repair` attempt floors the cost cap: paper-scale GA
+        // children that repair component-locally must then fall back to
+        // whole-graph rescans, yet land the same batch.
+        let mut config = ExperimentConfig::quick();
+        config.population = 8;
+        config.generations = 6;
+        config.runner_threads = 1;
+        let clean_config = experiment_ga_config(&config);
+        let run = |ga_config: &GaConfig| {
+            let mut recorder = TelemetryRecorder::new();
+            let batch =
+                run_ga_batch_with(Scenario::Normal, &config, ga_config, Some(&mut recorder))
+                    .unwrap();
+            let fallbacks = recorder
+                .counters()
+                .get("connectivity.fallbacks")
+                .copied()
+                .unwrap_or(0);
+            (batch, fallbacks)
+        };
+        let (clean, clean_fallbacks) = run(&clean_config);
+        let (sabotaged, sabotaged_fallbacks) = run(&sabotaged_ga_config(&clean_config));
+        assert_eq!(clean, sabotaged);
+        assert_eq!(clean_fallbacks, 0);
+        assert!(
+            sabotaged_fallbacks > 0,
+            "the floored cap must force fallbacks"
+        );
     }
 
     #[test]

@@ -18,10 +18,6 @@
 //!   multipliers are rejected at parse time, naming the flag or variable.
 //! * `--ns-budget <n>` — neighbors sampled per search phase (`n ≥ 1`;
 //!   0 is rejected at parse time, naming the flag).
-//! * `--connectivity <mode>` — connectivity repair strategy
-//!   (`WMN_CONNECTIVITY`): `dynamic` (default), `rescan` (whole-graph DSU
-//!   rescan oracle), or `full` (full-rebuild reference pipeline). Results
-//!   are bit-identical in every mode; only the work counters differ.
 //! * `--telemetry <dir>` — write structured run telemetry
 //!   (`telemetry.json` + `spans.jsonl`) to `<dir>`; see
 //!   [`crate::telemetry`].
@@ -36,12 +32,16 @@
 //!   (combining with `--out` or `--telemetry` is an error — skipped
 //!   cells' telemetry counters cannot be reconstructed).
 //! * `--out <dir>` — output directory (default `results`).
+//!
+//! `--connectivity` and `WMN_CONNECTIVITY` were removed: connectivity
+//! repair now picks its route per mutation, so there is no mode to choose.
+//! Both are refused at parse time with a message saying so, rather than
+//! silently ignored.
 
 use crate::error::ExperimentError;
 use crate::scenario::{ExperimentConfig, ScenarioScale};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use wmn_graph::topology::ConnectivityMode;
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,20 +60,13 @@ pub struct CliOptions {
 
 const USAGE: &str = "usage: [--quick] [--seed <n>] [--instance-seed <n>] [--threads <n>] \
 [--ga-threads <n>] [--scale <n>] [--scale-routers <n>] [--scale-clients <n>] \
-[--scale-area <x>] [--ns-budget <n>] [--connectivity dynamic|rescan|full] \
+[--scale-area <x>] [--ns-budget <n>] \
 [--retries <n>] [--fault-plan <spec>] [--telemetry <dir>] [--resume <dir>] [--out <dir>]";
 
-/// Parses a connectivity-mode name (shared by the flag and env paths).
-fn connectivity_mode(value: &str) -> Result<ConnectivityMode, String> {
-    match value.to_ascii_lowercase().as_str() {
-        "dynamic" => Ok(ConnectivityMode::Dynamic),
-        "rescan" | "dsu-rescan" | "dsu" => Ok(ConnectivityMode::DsuRescan),
-        "full" | "full-rebuild" | "rebuild" => Ok(ConnectivityMode::FullRebuild),
-        other => Err(format!(
-            "unknown connectivity mode {other:?} (dynamic|rescan|full)"
-        )),
-    }
-}
+/// Why `--connectivity` and `WMN_CONNECTIVITY` are refused.
+const CONNECTIVITY_REMOVED: &str = "was removed: connectivity repair picks \
+its route per mutation (component-local for small changes, one whole-graph \
+rescan for large ones), so there is no mode to choose";
 
 /// Parses a fault-plan spec (shared by the flag and env paths).
 fn fault_plan(value: &str) -> Result<wmn_runtime::FaultPlan, String> {
@@ -111,8 +104,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
 ///
 /// # Errors
 ///
-/// Returns a usage message on unknown flags, malformed numbers, invalid
-/// scale multipliers or a zero `--ns-budget`.
+/// Returns a usage message on unknown or removed flags, malformed
+/// numbers, invalid scale multipliers or a zero `--ns-budget`.
 pub fn parse_from<I: IntoIterator<Item = String>>(
     base: ExperimentConfig,
     args: I,
@@ -152,10 +145,7 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
                 let n = parse_num("--ns-budget", it.next())?;
                 config.ns_budget = positive_count("--ns-budget", n)?;
             }
-            "--connectivity" => {
-                let v = it.next().ok_or("--connectivity needs a value")?;
-                config.connectivity = connectivity_mode(&v)?;
-            }
+            "--connectivity" => return Err(format!("--connectivity {CONNECTIVITY_REMOVED}")),
             "--retries" => config.retries = parse_num("--retries", it.next())?,
             "--fault-plan" => {
                 let v = it.next().ok_or("--fault-plan needs a value")?;
@@ -209,7 +199,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, Stri
 /// # Errors
 ///
 /// Returns a message naming the malformed variable (including an invalid
-/// scale multiplier).
+/// scale multiplier) or the removed `WMN_CONNECTIVITY`.
 pub fn config_from_vars(
     lookup: impl Fn(&str) -> Option<String>,
 ) -> Result<ExperimentConfig, String> {
@@ -242,9 +232,8 @@ pub fn config_from_vars(
     if let Some(x) = num(&lookup, "WMN_SCALE_AREA")? {
         config.scale.area = area_multiplier("WMN_SCALE_AREA", x)?;
     }
-    if let Some(v) = lookup("WMN_CONNECTIVITY") {
-        config.connectivity =
-            connectivity_mode(&v).map_err(|e| format!("bad WMN_CONNECTIVITY value: {e}"))?;
+    if lookup("WMN_CONNECTIVITY").is_some() {
+        return Err(format!("WMN_CONNECTIVITY {CONNECTIVITY_REMOVED}; unset it"));
     }
     if let Some(n) = num::<u32>(&lookup, "WMN_RETRIES")? {
         config.retries = n;
@@ -349,28 +338,35 @@ mod tests {
 
     #[test]
     fn connectivity_and_telemetry_flags() {
-        let opts = parse_vec(&["--connectivity", "rescan", "--telemetry", "/tmp/t"]).unwrap();
-        assert_eq!(opts.config.connectivity, ConnectivityMode::DsuRescan);
+        let opts = parse_vec(&["--telemetry", "/tmp/t"]).unwrap();
         assert_eq!(opts.telemetry, Some(PathBuf::from("/tmp/t")));
-        let opts = parse_vec(&["--connectivity", "full"]).unwrap();
-        assert_eq!(opts.config.connectivity, ConnectivityMode::FullRebuild);
-        // Canonical display names parse back too.
-        let opts = parse_vec(&["--connectivity", "full-rebuild"]).unwrap();
-        assert_eq!(opts.config.connectivity, ConnectivityMode::FullRebuild);
-        assert!(parse_vec(&["--connectivity", "bogus"]).is_err());
-        assert!(parse_vec(&["--connectivity"]).is_err());
         assert!(parse_vec(&["--telemetry"]).is_err());
+        // The removed mode flag is refused by name, whatever its value
+        // (or none), before any later flag is read.
+        for args in [
+            &["--connectivity", "rescan"][..],
+            &["--connectivity", "dynamic", "--telemetry", "/tmp/t"],
+            &["--quick", "--connectivity"],
+        ] {
+            let base = ExperimentConfig::paper();
+            let err = parse_from(base, args.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(err.starts_with("--connectivity was removed"), "{err}");
+        }
     }
 
     #[test]
-    fn connectivity_env_var_applies_and_flag_wins() {
-        let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| "full".to_owned());
-        let base = config_from_vars(lookup).unwrap();
-        assert_eq!(base.connectivity, ConnectivityMode::FullRebuild);
-        let opts = parse_from(base, ["--connectivity".to_owned(), "dynamic".to_owned()]).unwrap();
-        assert_eq!(opts.config.connectivity, ConnectivityMode::Dynamic);
-        let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| "bogus".to_owned());
-        assert!(config_from_vars(lookup).is_err());
+    fn connectivity_env_var_is_rejected_as_removed() {
+        for value in ["dynamic", "full", ""] {
+            let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| value.to_owned());
+            let err = config_from_vars(lookup).unwrap_err();
+            assert!(err.starts_with("WMN_CONNECTIVITY was removed"), "{err}");
+            assert!(err.ends_with("unset it"), "{err}");
+        }
+        // Unset, the environment parses as before.
+        assert_eq!(
+            config_from_vars(|_| None).unwrap(),
+            ExperimentConfig::paper()
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::batch::run_isolated;
 use crate::error::ExperimentError;
 use crate::scenario::{ExperimentConfig, Scenario};
-use wmn_graph::topology::DegradationPolicy;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_metrics::stats::Trace;
 use wmn_model::instance::ProblemInstance;
@@ -149,12 +148,12 @@ fn ns_initial_placement(
 
 /// One Figure 4 search (its full per-phase trace; the figure plots the
 /// giant series): a neighborhood search with the given movement over
-/// a topology pinned to the configured connectivity strategy. A sabotaged
-/// attempt (`blowup@repair` fault) floors the connectivity cost cap —
-/// forcing the rescan fallback on every deletion search — and arms the
-/// degradation ladder, driving real degraded work through the engine;
-/// the attempt is doomed by the runtime afterwards, so none of it can
-/// reach the figure or its telemetry.
+/// a live topology. A sabotaged attempt (`blowup@repair` fault) floors
+/// the connectivity cost cap — forcing the rescan fallback on every
+/// deletion search of the local repair route that single moves and swaps
+/// take — driving real degraded work through the engine; the attempt is
+/// doomed by the runtime afterwards, so none of it can reach the figure
+/// or its telemetry.
 #[allow(clippy::too_many_arguments)]
 fn ns_job(
     scenario: Scenario,
@@ -182,13 +181,8 @@ fn ns_job(
     let mut rng = cell.rng(config.run_seed);
     let search = NeighborhoodSearch::new(evaluator, movement, search_config);
     let mut topo = evaluator.topology(initial)?;
-    topo.set_connectivity_mode(config.connectivity);
     if sabotage {
         topo.set_connectivity_cost_cap(Some(0));
-        topo.set_degradation_policy(DegradationPolicy {
-            audit_every: 1,
-            fallback_streak_limit: 1,
-        });
     }
     let outcome = search.run_with_topology_recorded(&mut topo, &mut rng, recorder);
     Ok(outcome.trace)

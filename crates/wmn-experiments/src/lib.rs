@@ -18,8 +18,7 @@
 //! Every binary accepts `--quick` (reduced scale), `--seed <n>` (run seed),
 //! `--threads <n>` (parallel experiment workers; results are identical for
 //! every value), `--telemetry <dir>` (structured work-counter telemetry,
-//! see [`telemetry`]), `--connectivity <mode>` (repair-strategy oracle
-//! selection) and `--out <dir>` (default `results/`). `run_all`
+//! see [`telemetry`]) and `--out <dir>` (default `results/`). `run_all`
 //! regenerates everything. See [`cli`] for the full flag and `WMN_*`
 //! environment-variable reference, and [`scenario::ScenarioScale`] for
 //! running beyond-paper instance sizes.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use wmn_ga::engine::GaEvalMode;
-use wmn_graph::topology::ConnectivityMode;
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::Area;
 use wmn_model::instance::{InstanceSpec, ProblemInstance};
@@ -219,12 +217,6 @@ pub struct ExperimentConfig {
     pub ns_budget: usize,
     /// Figure sampling stride in generations (the paper samples every ~5).
     pub sample_every: usize,
-    /// Connectivity repair strategy for every topology-backed run
-    /// ([`ConnectivityMode::Dynamic`] is the production engine; the rescan
-    /// and full-rebuild oracles exist so the counter-regression gate can
-    /// compare work profiles). Results are bit-identical in every mode —
-    /// only the work counters differ.
-    pub connectivity: ConnectivityMode,
     /// Per-cell attempt budget for the panic-isolated runner (`--retries`):
     /// each grid cell may run up to this many times before its failure is
     /// reported. Retried cells re-derive the same coordinate seed, so a
@@ -257,7 +249,6 @@ impl ExperimentConfig {
             sample_every: 5,
             runner_threads: 0,
             scale: ScenarioScale::identity(),
-            connectivity: ConnectivityMode::Dynamic,
             retries: 1,
             fault_plan: None,
         }
@@ -289,8 +280,8 @@ impl ExperimentConfig {
     /// and search runs stay affordable now that evaluation is
     /// topology-backed and figures stream JSONL; `quick_scale(16)` — 1024
     /// routers / 3072 clients on a ~512×512 area — is the rural-deployment
-    /// shape CI runs fig3 at to prove the dynamic-connectivity repair path
-    /// at scale.
+    /// shape CI runs fig3 at to prove the adaptive connectivity repair at
+    /// scale.
     pub fn quick_scale(n: u32) -> Self {
         let mut config = ExperimentConfig::quick();
         config.scale = ScenarioScale::proportional(n.max(1));
@@ -319,19 +310,6 @@ impl ExperimentConfig {
     pub fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy {
             max_attempts: self.retries.max(1),
-        }
-    }
-
-    /// The GA evaluation pipeline implied by
-    /// [`connectivity`](ExperimentConfig::connectivity): the incremental
-    /// topology-backed backend with the chosen repair strategy, or the
-    /// full-rebuild reference pipeline for
-    /// [`ConnectivityMode::FullRebuild`].
-    pub fn ga_eval_mode(&self) -> GaEvalMode {
-        match self.connectivity {
-            ConnectivityMode::DsuRescan => GaEvalMode::IncrementalDsuRescan,
-            ConnectivityMode::FullRebuild => GaEvalMode::Rebuild,
-            _ => GaEvalMode::Incremental,
         }
     }
 }
@@ -435,7 +413,7 @@ mod tests {
     #[test]
     fn quick_scale_16_is_the_rural_deployment_preset() {
         // 1024 routers / 3072 clients: the `--scale 16` shape CI runs fig3
-        // at to prove the dynamic-connectivity repair path at scale.
+        // at to prove the adaptive connectivity repair at scale.
         let preset = ExperimentConfig::quick_scale(16);
         let cli = crate::cli::parse(["--quick", "--scale", "16"].map(String::from))
             .unwrap()
@@ -516,23 +494,6 @@ mod tests {
         assert_eq!(Scenario::Exponential.grid_id(), 1);
         assert_eq!(Scenario::Weibull.grid_id(), 2);
         assert_eq!(Scenario::Uniform.grid_id(), 3);
-    }
-
-    #[test]
-    fn connectivity_maps_to_the_ga_eval_pipeline() {
-        let mut config = ExperimentConfig::quick();
-        assert_eq!(config.connectivity, ConnectivityMode::Dynamic);
-        assert_eq!(config.ga_eval_mode(), GaEvalMode::Incremental);
-        config.connectivity = ConnectivityMode::DsuRescan;
-        assert_eq!(config.ga_eval_mode(), GaEvalMode::IncrementalDsuRescan);
-        config.connectivity = ConnectivityMode::FullRebuild;
-        assert_eq!(config.ga_eval_mode(), GaEvalMode::Rebuild);
-        // `quickened` preserves the oracle choice like every other
-        // orthogonal knob.
-        assert_eq!(
-            config.quickened().connectivity,
-            ConnectivityMode::FullRebuild
-        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub(crate) fn config_json(config: &ExperimentConfig) -> String {
     format!(
         "{{\"instance_seed\":{},\"run_seed\":{},\"population\":{},\"generations\":{},\
          \"ns_phases\":{},\"ns_budget\":{},\"sample_every\":{},\"scale_routers\":{},\
-         \"scale_clients\":{},\"scale_area\":{},\"connectivity\":\"{}\"}}",
+         \"scale_clients\":{},\"scale_area\":{}}}",
         config.instance_seed,
         config.run_seed,
         config.population,
@@ -57,8 +57,7 @@ pub(crate) fn config_json(config: &ExperimentConfig) -> String {
         config.sample_every,
         config.scale.routers,
         config.scale.clients,
-        config.scale.area,
-        config.connectivity
+        config.scale.area
     )
 }
 
@@ -159,7 +158,9 @@ mod tests {
         let doc = render_telemetry_json("fig3", &ExperimentConfig::quick(), &sample_recorder());
         assert!(doc.starts_with("{\"schema\":\"wmn-telemetry/v2\",\"bin\":\"fig3\","));
         assert!(doc.contains("\"config\":{\"instance_seed\":2009,"));
-        assert!(doc.contains("\"connectivity\":\"dynamic\""));
+        // The config block ends at the scale knobs: no repair-mode field.
+        assert!(doc.contains("\"scale_area\":1},\"counters\""));
+        assert!(!doc.contains("\"connectivity\""));
         assert!(doc.contains("\"counters\":{\"ga.generations\":40,\"topology.single_moves\":7}"));
         assert!(doc.contains("\"histograms\":{\"ga.generation.diff_routers\":"));
         assert!(doc.contains(

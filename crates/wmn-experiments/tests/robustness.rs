@@ -264,3 +264,47 @@ fn resume_rejects_a_mismatched_configuration() {
     assert!(stderr.contains("cannot resume"), "{stderr}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The checkpoint line `fig1 --quick` wrote before the connectivity mode
+/// left the configuration block: its fingerprint covers the retired
+/// `"connectivity":"dynamic"` member.
+const CHECKPOINT_WITH_CONNECTIVITY_MODE: &str = "{\"schema\":\"wmn-checkpoint/v1\",\
+\"fingerprint\":\"dc2cc8191d6bd49f\",\"cell\":\"fig1\",\
+\"files\":[\"fig1.csv\",\"fig1.jsonl\",\"fig1.txt\"]}\n";
+
+#[test]
+fn resume_refuses_a_checkpoint_fingerprinted_with_the_connectivity_mode() {
+    let dir = fresh_dir("wmn-robustness-old-checkpoint");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(
+        dir.join("checkpoint.jsonl"),
+        CHECKPOINT_WITH_CONNECTIVITY_MODE,
+    )
+    .unwrap();
+    let out = run_bin(env!("CARGO_BIN_EXE_fig1"), &["--quick"], "--resume", &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot resume"), "{stderr}");
+    assert!(
+        stderr.contains("configuration fingerprint dc2cc8191d6bd49f does not match"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_connectivity_flag_exits_2_naming_it() {
+    let dir = fresh_dir("wmn-robustness-connectivity-flag");
+    let fig1 = env!("CARGO_BIN_EXE_fig1");
+    let out = run_bin(
+        fig1,
+        &["--quick", "--connectivity", "rescan"],
+        "--out",
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--connectivity was removed"), "{stderr}");
+    assert!(!dir.exists(), "a refused run must write nothing");
+}

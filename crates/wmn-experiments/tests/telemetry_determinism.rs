@@ -1,14 +1,15 @@
 //! Determinism guarantees of the telemetry layer.
 //!
-//! 1. With the default (incremental/dynamic) pipeline, the rendered
-//!    `telemetry.json` document of a fixed-seed figure run is
+//! 1. With the default (incremental, adaptive-repair) pipeline, the
+//!    rendered `telemetry.json` document of a fixed-seed figure run is
 //!    **byte-identical for every thread count** — both experiment-runtime
 //!    workers and GA evaluation threads.
-//! 2. Each connectivity oracle (`Dynamic`, `DsuRescan`, `FullRebuild`)
-//!    produces a reproducible counter snapshot at one thread (the
-//!    `Rebuild` pipeline's disk-cache counters depend on worker
-//!    assignment, so mode comparisons are pinned to one thread).
-//! 3. The oracles produce the **same figures** but **different work
+//! 2. The default pipeline and the full-rebuild reference
+//!    (`GaEvalMode::Rebuild`) each produce a reproducible counter
+//!    snapshot at one thread (the `Rebuild` pipeline's disk-cache counters
+//!    depend on worker assignment, so the comparison is pinned to one
+//!    thread).
+//! 3. The two produce the **same figures** but **different work
 //!    profiles** — the property `scripts/check_counters.sh` turns into a
 //!    perf-regression gate.
 //! 4. A whole `run_all` runs each of its 21 GA cells exactly once, and
@@ -17,11 +18,11 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use wmn_experiments::analyze::{flame, parse_doc};
-use wmn_experiments::batch::run_ga_batch;
+use wmn_experiments::batch::{experiment_ga_config, run_ga_batch, run_ga_batch_with};
 use wmn_experiments::figures::run_ns_figure;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
 use wmn_experiments::telemetry::render_telemetry_json;
-use wmn_graph::topology::ConnectivityMode;
+use wmn_ga::engine::GaEvalMode;
 use wmn_obs::TelemetryRecorder;
 
 /// A sub-`--quick` config: full code coverage, test-suite-friendly cost.
@@ -112,7 +113,7 @@ fn phase_attribution_and_flame_are_thread_invariant() {
 #[test]
 fn connectivity_oracles_are_reproducible_and_distinguishable() {
     let mut config = small();
-    // Mode comparisons run at one thread: the Rebuild pipeline's
+    // The comparison runs at one thread: the Rebuild pipeline's
     // per-worker workspaces make its disk-cache counters depend on worker
     // assignment (see `GaEngine::run_recorded`).
     config.runner_threads = 1;
@@ -120,17 +121,15 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
 
     let mut figures = Vec::new();
     let mut documents = Vec::new();
-    for mode in [
-        ConnectivityMode::Dynamic,
-        ConnectivityMode::DsuRescan,
-        ConnectivityMode::FullRebuild,
-    ] {
-        config.connectivity = mode;
+    for mode in [GaEvalMode::Incremental, GaEvalMode::Rebuild] {
+        let mut ga_config = experiment_ga_config(&config);
+        ga_config.eval_mode = mode;
         let run = || {
             let mut recorder = TelemetryRecorder::new();
-            let fig = run_ga_batch(Scenario::Weibull, &config, Some(&mut recorder))
-                .unwrap()
-                .figure;
+            let fig =
+                run_ga_batch_with(Scenario::Weibull, &config, &ga_config, Some(&mut recorder))
+                    .unwrap()
+                    .figure;
             (fig, render_telemetry_json("fig3", &config, &recorder))
         };
         let (fig_a, doc_a) = run();
@@ -140,18 +139,24 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
         documents.push(doc_a);
     }
 
-    // Same results, different work: the figures agree across oracles...
+    // Same results, different work: the figures agree...
     assert_eq!(figures[0], figures[1]);
-    assert_eq!(figures[0], figures[2]);
-    // ...but each oracle leaves a distinct counter fingerprint (this is
-    // exactly what lets check_counters.sh catch a pessimized build).
+    // ...but the reference leaves a distinct counter fingerprint (this is
+    // exactly what lets the counter gate catch a pessimized build).
     assert_ne!(documents[0], documents[1]);
-    assert_ne!(documents[0], documents[2]);
-    assert_ne!(documents[1], documents[2]);
-    // The dynamic engine does component-local BFS work; the rescan oracle
-    // never does.
-    assert!(documents[0].contains("\"connectivity.bfs_edge_visits\""));
-    assert!(!documents[1].contains("\"connectivity.bfs_edge_visits\""));
+    // The adaptive pipeline repairs paper-scale children on both routes
+    // (component-local BFS work and whole-graph rescans); the reference
+    // rebuilds every child instead and takes neither route.
+    for key in [
+        "connectivity.bfs_edge_visits",
+        "topology.local_repairs",
+        "topology.rescan_repairs",
+    ] {
+        let key = format!("\"{key}\"");
+        assert!(documents[0].contains(&key), "adaptive run lacks {key}");
+        assert!(!documents[1].contains(&key), "reference run has {key}");
+    }
+    assert!(documents[1].contains("\"topology.full_rebuild_nodes\""));
 }
 
 /// Runs `run_all --quick --telemetry` at `threads` runner threads with a

@@ -41,7 +41,6 @@ use crate::selection::SelectionOp;
 use crate::trace::{GaTrace, GenerationRecord};
 use rand::{Rng, RngCore};
 use std::fmt;
-use wmn_graph::topology::ConnectivityMode;
 use wmn_metrics::evaluator::{EvalWorkspace, Evaluation, Evaluator};
 use wmn_model::placement::Placement;
 use wmn_model::ModelError;
@@ -54,17 +53,12 @@ use wmn_search::movement::MoveAction;
 pub enum GaEvalMode {
     /// Topology-backed delta evaluation (the default): children adopt
     /// their lineage parent's live topology and repair the placement diff
-    /// through the incremental batch engine, with connectivity repaired
-    /// component-locally by the dynamic connectivity engine
-    /// ([`ConnectivityMode::Dynamic`]).
+    /// through the incremental batch engine, whose connectivity repair
+    /// picks its route per child — component-local for small diffs, one
+    /// whole-graph rescan for large ones (see the `wmn-graph` topology
+    /// module docs).
     #[default]
     Incremental,
-    /// The incremental pipeline with connectivity pinned to the
-    /// whole-graph DSU rescan ([`ConnectivityMode::DsuRescan`]) — the
-    /// dynamic connectivity engine's reference oracle, kept so the
-    /// equivalence suites can pin the new engine end-to-end through full
-    /// GA runs.
-    IncrementalDsuRescan,
     /// Full-rebuild reference pipeline: every child is evaluated through a
     /// per-worker workspace whose topology is rebuilt in place per
     /// candidate — the pre-topology-backed behavior, kept as the
@@ -77,7 +71,6 @@ impl fmt::Display for GaEvalMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GaEvalMode::Incremental => write!(f, "incremental"),
-            GaEvalMode::IncrementalDsuRescan => write!(f, "incremental-dsu-rescan"),
             GaEvalMode::Rebuild => write!(f, "rebuild"),
         }
     }
@@ -105,9 +98,9 @@ pub struct GaConfig {
     /// Evaluation pipeline (incremental topology-backed vs full rebuild);
     /// outcomes are bit-identical either way.
     pub eval_mode: GaEvalMode,
-    /// Override of the dynamic connectivity engine's per-deletion cost
-    /// cap, pinned onto every evaluation slot (`None` = engine default).
-    /// `Some(0)` forces the rescan fallback on every deletion search —
+    /// Override of the local repair route's per-deletion cost cap, pinned
+    /// onto every evaluation slot (`None` = engine default). `Some(0)`
+    /// forces the rescan fallback on every local deletion search —
     /// outcomes stay bit-identical (all repair paths agree), only the
     /// work profile changes; fault plans use this to sabotage repair cost.
     pub connectivity_cost_cap: Option<usize>,
@@ -485,7 +478,7 @@ impl<'e, 'i> GaEngine<'e, 'i> {
                 );
                 recorder.value(
                     "ga.generation.connectivity_repairs",
-                    delta.connectivity.repairs,
+                    delta.topology.local_repairs + delta.topology.rescan_repairs,
                 );
                 *prev = now;
             }
@@ -556,12 +549,9 @@ enum EvalBackend {
         /// Last generation's slots, recycled as the next children's lease
         /// pool (their warm topologies get `clone_from`'d over).
         spare: Vec<EvalWorkspace>,
-        /// Connectivity repair strategy pinned onto the slot topologies
-        /// (children inherit it through `clone_from`, so one pass after
-        /// the initial evaluation pins the whole run).
-        connectivity: ConnectivityMode,
-        /// Cost-cap override pinned onto the slot topologies the same way
-        /// (it also travels with `clone_from`).
+        /// Cost-cap override pinned onto the slot topologies (children
+        /// inherit it through `clone_from`, so one pass after the initial
+        /// evaluation pins the whole run).
         cost_cap: Option<usize>,
     },
     Rebuild {
@@ -577,13 +567,6 @@ impl EvalBackend {
             GaEvalMode::Incremental => EvalBackend::Incremental {
                 slots: Vec::new(),
                 spare: Vec::new(),
-                connectivity: ConnectivityMode::Dynamic,
-                cost_cap,
-            },
-            GaEvalMode::IncrementalDsuRescan => EvalBackend::Incremental {
-                slots: Vec::new(),
-                spare: Vec::new(),
-                connectivity: ConnectivityMode::DsuRescan,
                 cost_cap,
             },
             GaEvalMode::Rebuild => EvalBackend::Rebuild {
@@ -600,16 +583,12 @@ impl EvalBackend {
     ) -> Result<(), ModelError> {
         match self {
             EvalBackend::Incremental {
-                slots,
-                connectivity,
-                cost_cap,
-                ..
+                slots, cost_cap, ..
             } => {
                 slots.resize_with(population.len(), EvalWorkspace::new);
                 parallel::evaluate_initial(evaluator, population, slots, threads)?;
                 for slot in slots.iter_mut() {
                     if let Some(topo) = slot.topology_mut() {
-                        topo.set_connectivity_mode(*connectivity);
                         topo.set_connectivity_cost_cap(*cost_cap);
                     }
                 }

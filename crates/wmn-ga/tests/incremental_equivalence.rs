@@ -1,17 +1,18 @@
 //! Full-run equivalence suite for the topology-backed GA: complete GA runs
-//! under [`GaEvalMode::Incremental`] (dynamic connectivity) must be
-//! **bit-identical** to the DSU-rescan-pinned incremental pipeline
-//! ([`GaEvalMode::IncrementalDsuRescan`], the dynamic connectivity
-//! engine's oracle) and to the full-rebuild reference pipeline
+//! under [`GaEvalMode::Incremental`] (adaptive connectivity repair) must
+//! be **bit-identical** to the full-rebuild reference pipeline
 //! ([`GaEvalMode::Rebuild`]) — traces, best placements, and final
 //! populations — at every thread count, for ad-hoc and random
-//! initializations.
+//! initializations. Paper-scale children reach both repair routes through
+//! their own diffs: small ones repair component-locally, large ones take
+//! the whole-graph rescan (pinned by the route counters below).
 
 use wmn_ga::engine::{GaConfig, GaEngine, GaEvalMode, GaOutcome};
 use wmn_ga::init::PopulationInit;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::rng::rng_from_seed;
+use wmn_obs::TelemetryRecorder;
 use wmn_placement::registry::AdHocMethod;
 
 fn instance(seed: u64) -> ProblemInstance {
@@ -71,12 +72,6 @@ fn incremental_equals_rebuild_across_thread_counts() {
                 &incremental,
                 &format!("{} incremental @{threads} threads", init.name()),
             );
-            let rescan = run(&inst, &init, GaEvalMode::IncrementalDsuRescan, threads, 42);
-            assert_outcomes_identical(
-                &baseline,
-                &rescan,
-                &format!("{} incremental-dsu-rescan @{threads} threads", init.name()),
-            );
             let rebuild = run(&inst, &init, GaEvalMode::Rebuild, threads, 42);
             assert_outcomes_identical(
                 &baseline,
@@ -100,14 +95,32 @@ fn equivalence_holds_across_seeds_and_methods() {
         let a = run(&inst, &init, GaEvalMode::Incremental, 1, 7 + i as u64);
         let b = run(&inst, &init, GaEvalMode::Rebuild, 1, 7 + i as u64);
         assert_outcomes_identical(&a, &b, method.name());
-        let c = run(
-            &inst,
-            &init,
-            GaEvalMode::IncrementalDsuRescan,
-            1,
-            7 + i as u64,
+    }
+}
+
+#[test]
+fn incremental_runs_take_both_repair_routes() {
+    let inst = instance(2009);
+    let evaluator = Evaluator::paper_default(&inst);
+    let config = GaConfig::builder()
+        .population_size(14)
+        .generations(12)
+        .build()
+        .unwrap();
+    let mut recorder = TelemetryRecorder::new();
+    GaEngine::new(&evaluator, config)
+        .run_recorded(
+            &PopulationInit::AdHoc(AdHocMethod::HotSpot),
+            &mut rng_from_seed(42),
+            &mut recorder,
+        )
+        .unwrap();
+    let counters = recorder.counters();
+    for route in ["topology.local_repairs", "topology.rescan_repairs"] {
+        assert!(
+            counters.get(route).copied().unwrap_or(0) > 0,
+            "{route} never ran: {counters:?}"
         );
-        assert_outcomes_identical(&a, &c, method.name());
     }
 }
 

@@ -25,7 +25,7 @@
 //! it differently. Equality (`==`) therefore means **same partition and
 //! same giant component** (with the same recorded size per component and
 //! the same live count); it canonicalizes both sides, so it allocates and
-//! is meant for tests and audits.
+//! is meant for tests and consistency checks.
 //!
 //! The giant is the largest component; a tie goes to the component holding
 //! the lowest node index, which is the lowest label of a fresh build.
@@ -98,7 +98,7 @@ impl Clone for Components {
 
 impl PartialEq for Components {
     /// Same partition and same giant component, whatever the ids (see the
-    /// module docs). Allocates: tests and audits only.
+    /// module docs). Allocates: tests and consistency checks only.
     fn eq(&self, other: &Self) -> bool {
         self.label.len() == other.label.len() && self.canonical() == other.canonical()
     }
@@ -170,8 +170,9 @@ impl Components {
     /// Recomputes this component structure from `adj` **in place**, using a
     /// caller-provided [`UnionFind`] and label scratch buffer so that no
     /// heap allocation happens once the buffers have grown to the graph
-    /// size. This is the whole-graph rescan behind the dynamic engine's
-    /// fallback and the `DsuRescan` connectivity mode.
+    /// size. This is the whole-graph rescan behind the topology's rescan
+    /// repair route, the dynamic engine's cost-cap fallback and in-place
+    /// placement resets.
     ///
     /// The labels come out in first-appearance order, the order BFS
     /// assigns, so the result equals [`Components::from_adjacency`] id for

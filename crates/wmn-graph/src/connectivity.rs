@@ -4,12 +4,15 @@
 //! The paper's primary objective — giant-component size — makes
 //! connectivity the one derived quantity *every* move, swap, and GA child
 //! must refresh. A whole-graph union–find rescan
-//! ([`Components::rebuild_incremental`]) does that in O(*n* + *m*) per
-//! repair. [`DynamicConnectivity`] replaces it with **component-local
-//! repair** driven by the edge diff the grid-local edge repair already
-//! computes. Component ids are stable (see the
-//! [`components`](crate::components) module docs), so a repair costs
-//! O(nodes and edges of the components it touches):
+//! ([`DynamicConnectivity::rescan_with_flips`]) does that in O(*n* + *m*)
+//! per repair. [`DynamicConnectivity::apply_edge_diff`] is the alternative,
+//! **component-local repair** driven by the edge diff the grid-local edge
+//! repair already computes. `WmnTopology` picks one of the two per
+//! mutation, by its size (see the [`topology`](crate::topology) module
+//! docs, *Choosing the repair route*): single moves and small batches go
+//! local, large batches rescan. Component ids are stable (see the
+//! [`components`](crate::components) module docs), so a local repair
+//! costs O(nodes and edges of the components it touches):
 //!
 //! * **Insertions merge eagerly.** An inserted edge `(u, v)` joining two
 //!   ids relabels one side into the other: the non-giant side, or the
@@ -43,7 +46,9 @@
 //!   [`DynamicConnectivity::set_cost_cap`]), or relabel plus search work
 //!   passes the whole-repair budget, the engine rolls the labels back and
 //!   falls back to one full [`Components::rebuild_incremental`] rescan —
-//!   correctness never depends on the cap.
+//!   correctness never depends on the cap. Since the topology sends large
+//!   diffs to the rescan up front, the cap is a safety net for the rare
+//!   small diff that cuts a large component.
 //!
 //! The resulting [`Components`] describes exactly the partition and giant
 //! of a from-scratch build (under the id-independent `==`), so every
@@ -299,21 +304,7 @@ impl DynamicConnectivity {
 
     /// Whole-graph union–find rescan of `components` for `adj`
     /// ([`Components::rebuild_incremental`]), counted in the
-    /// `rescan_nodes` / `rescan_edges` stats. Leaves
-    /// [`membership_flips`](DynamicConnectivity::membership_flips) alone.
-    pub fn rescan(
-        &mut self,
-        adj: &MeshAdjacency,
-        components: &mut Components,
-        uf: &mut UnionFind,
-        label_scratch: &mut Vec<u32>,
-    ) {
-        self.stats.rescan_nodes += adj.node_count() as u64;
-        self.stats.rescan_edges += adj.edge_count() as u64;
-        components.rebuild_incremental(adj, uf, label_scratch);
-    }
-
-    /// [`rescan`](DynamicConnectivity::rescan) that also records the
+    /// `rescan_nodes` / `rescan_edges` stats, that also records the
     /// giant-membership flips against the pre-rescan `components` — an
     /// O(*n*) diff, the same order as the rescan itself.
     pub fn rescan_with_flips(
@@ -327,7 +318,9 @@ impl DynamicConnectivity {
         self.was_giant.clear();
         self.was_giant
             .extend((0..n).map(|x| components.in_giant(x)));
-        self.rescan(adj, components, uf, label_scratch);
+        self.stats.rescan_nodes += adj.node_count() as u64;
+        self.stats.rescan_edges += adj.edge_count() as u64;
+        components.rebuild_incremental(adj, uf, label_scratch);
         self.flips.clear();
         for (x, &was) in self.was_giant.iter().enumerate() {
             if was != components.in_giant(x) {

@@ -63,7 +63,5 @@ pub use connectivity::{ConnectivityStats, DynamicConnectivity, RepairOutcome};
 pub use density::{CellWindow, DensityMap};
 pub use dsu::UnionFind;
 pub use spatial::{DynamicGrid, GridIndex};
-pub use topology::{
-    ConnectivityMode, CoverageRule, DegradationPolicy, TopologyConfig, WmnTopology,
-};
+pub use topology::{CoverageRule, TopologyConfig, WmnTopology};
 pub use wmn_obs::{ApplyPhases, EngineStats, TopologyStats};

@@ -19,18 +19,20 @@
 //! 2. **Connectivity.** When the moved router's sorted neighbor set is
 //!    unchanged, the graph is identical and component/coverage work is
 //!    skipped entirely (the *no-op early-out*; only the moved disk is
-//!    re-counted). Otherwise the old-vs-new neighbor diffs become an edge
-//!    insert/delete stream for the **dynamic connectivity engine**
-//!    ([`DynamicConnectivity`], the default [`ConnectivityMode::Dynamic`]):
+//!    re-counted). Otherwise the components are repaired by one of two
+//!    routes, picked per mutation before any repair work runs (see
+//!    *Choosing the repair route* below). On the **local route** the
+//!    old-vs-new neighbor diffs become an edge insert/delete stream for
+//!    the dynamic connectivity engine ([`DynamicConnectivity`]):
 //!    component ids are stable, insertions merge two ids by relabeling the
 //!    non-giant side, deletions run a bounded component-local
-//!    bidirectional BFS and move a split-off side to a fresh id, and a
-//!    whole-graph [`Components::rebuild_incremental`] rescan remains only
-//!    as the engine's cost-cap fallback (and as the pinnable
-//!    [`ConnectivityMode::DsuRescan`] reference). A repair costs
-//!    O(nodes and edges of the components it touches), and it reports the
-//!    routers whose giant membership flipped. The partition and giant
-//!    equal a fresh build's in every mode.
+//!    bidirectional BFS and move a split-off side to a fresh id, so a
+//!    repair costs O(nodes and edges of the components it touches). On the
+//!    **rescan route** no edge events are recorded and one whole-graph
+//!    union–find rescan ([`DynamicConnectivity::rescan_with_flips`])
+//!    repairs everything in O(*n* + *m*). Both report the routers whose
+//!    giant membership flipped, and the partition and giant equal a fresh
+//!    build's on either route.
 //! 3. **Coverage.** Per-client *cover counts* (how many counting routers
 //!    reach each client) are maintained so a move only increments and
 //!    decrements the moved router's old and new disks, flipping `covered`
@@ -40,10 +42,51 @@
 //! [`apply_moves`] generalizes the same three steps to a batch: all
 //! positions and grid buckets update first, then *one* repair pass — one
 //! grid-local edge re-derivation per moved router, one connectivity
-//! rebuild, one coverage delta over the moved disks (or one full in-place
+//! repair, one coverage delta over the moved disks (or one full in-place
 //! pass when the fallback below triggers). Combined with the
 //! buffer-reusing [`Clone::clone_from`], a GA child evaluates as "copy
 //! parent state + apply the placement diff" instead of a full rebuild.
+//!
+//! ## Choosing the repair route
+//!
+//! A mutation that moves `k` distinct routers in a graph of `n` routers
+//! and `m` links takes the rescan route when [`prefers_rescan`] holds:
+//!
+//! ```text
+//! k · (1 + 2m/n) · ⌈√n⌉ / 2  ≥  n + m
+//! ```
+//!
+//! Both sides are in rescan work-counter units. The right side is what the
+//! rescan route costs, exactly: `rescan_nodes + rescan_edges`. The left
+//! side estimates the local route. Its work grows with each moved router
+//! and each of the router's links (about `2m/n` of them), since every
+//! changed link is an insert or delete event and every delete may run a
+//! search capped at O(√n) edge visits; the rule charges each such item
+//! `√n / 2`.
+//!
+//! That charge comes from GA-child batches of `fig3 --quick` at `--scale
+//! 1/16/64/128`. Counted in `bfs_edge_visits + relabeled_nodes`, plus its
+//! edge events and its cost-cap fallback rescans, the local route spent
+//! 0.04–0.17·√n units per item. Each local unit took 1.4–2.5 times as
+//! long as a rescan unit, and the local route pays for work no counter
+//! sees: recording the events, the deletion overlay, the flip walk. By
+//! wall clock the two routes broke even at about `k = 20` of 64 routers
+//! and `k = 120` of 1,024. At ×64 and ×128 the local route was 1.2–1.6
+//! times slower on every GA child (`k ≥ 282` and `k ≥ 589`), and 29–86%
+//! of its repairs hit the cost cap, more in denser meshes. The rule's
+//! thresholds sit below each crossover (`k ≈ 13`, 51, 88 and 95–165),
+//! leaning toward the rescan, whose cost is fixed and which never falls
+//! back.
+//!
+//! So single moves (for every `n ≥ 2`) and swaps (on any graph of more
+//! than four routers) always take the local route, where a move costs
+//! O(touched components) instead of O(n). GA children at scale take one
+//! rescan and record no edge events. The rule depends on nothing but the
+//! mutation's size and the graph's, so it is not tuned per workload. The
+//! local route keeps its cost cap
+//! ([`set_connectivity_cost_cap`](WmnTopology::set_connectivity_cost_cap))
+//! only as a safety net: a pathological local repair still rolls back and
+//! rescans.
 //!
 //! ## Invariants
 //!
@@ -69,19 +112,18 @@
 //! [`recompute`](WmnTopology::rebuild_full)-style pass (a giant's worth of
 //! disks), and take the cheaper; both land the identical state. Under
 //! [`CoverageRule::AnyRouter`] membership is irrelevant and the delta path
-//! always applies. [`set_connectivity_mode`] selects the
-//! connectivity repair strategy ([`ConnectivityMode`]); [`set_rebuild_mode`]
-//! disables the incremental engine wholesale — every move then runs
-//! [`rebuild_full`](WmnTopology::rebuild_full) — which is the reference
-//! baseline the equivalence tests and the `ablation_move_eval` bench
-//! compare against.
+//! always applies. [`set_rebuild_mode`] disables the incremental engine
+//! wholesale — every move then runs
+//! [`rebuild_full`](WmnTopology::rebuild_full) — which is the one reference
+//! oracle the equivalence tests and the `ablation_move_eval` bench compare
+//! against.
 //!
 //! [`move_router`]: WmnTopology::move_router
 //! [`swap_routers`]: WmnTopology::swap_routers
 //! [`apply_moves`]: WmnTopology::apply_moves
 //! [`set_rebuild_mode`]: WmnTopology::set_rebuild_mode
-//! [`set_connectivity_mode`]: WmnTopology::set_connectivity_mode
 //! [`DynamicConnectivity`]: crate::connectivity::DynamicConnectivity
+//! [`DynamicConnectivity::rescan_with_flips`]: crate::connectivity::DynamicConnectivity::rescan_with_flips
 //! [`DynamicGrid`]: crate::spatial::DynamicGrid
 
 use crate::adjacency::{LinkModel, MeshAdjacency};
@@ -98,7 +140,7 @@ use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
-use wmn_obs::{ApplyPhases, DegradeStats, EngineStats, TopologyStats};
+use wmn_obs::{ApplyPhases, EngineStats, TopologyStats};
 
 /// Which routers count for client coverage.
 ///
@@ -124,70 +166,27 @@ impl fmt::Display for CoverageRule {
     }
 }
 
-/// How a topology repairs connectivity (components + giant) after each
-/// move, swap, or batch application. All three strategies produce the
-/// same partition, giant, and coverage — **bit-identical** observable
-/// state, pinned by the equivalence and proptest suites; only the opaque
-/// component ids may differ. They differ in cost, and the two non-default
-/// ones exist as reference oracles and bench baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum ConnectivityMode {
-    /// Component-local dynamic repair (the default): the edge diff of the
-    /// grid-local edge repair drives [`DynamicConnectivity`] — insertions
-    /// merge two stable component ids by relabeling the non-giant side,
-    /// deletions run a bounded bidirectional component-local BFS, and the
-    /// whole-graph rescan remains only as the engine's cost-cap fallback.
-    #[default]
-    Dynamic,
-    /// Whole-graph union–find rescan per repair
-    /// ([`Components::rebuild_incremental`]) — the previous engine, kept
-    /// as the dynamic engine's reference oracle and as the baseline the
-    /// `ablation_connectivity` bench measures against.
-    DsuRescan,
-    /// Full rebuild of grid, adjacency, components, and coverage on every
-    /// move ([`WmnTopology::rebuild_full`]) — the original reference
-    /// baseline behind [`WmnTopology::set_rebuild_mode`].
-    FullRebuild,
-}
-
-impl fmt::Display for ConnectivityMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConnectivityMode::Dynamic => write!(f, "dynamic"),
-            ConnectivityMode::DsuRescan => write!(f, "dsu-rescan"),
-            ConnectivityMode::FullRebuild => write!(f, "full-rebuild"),
-        }
-    }
-}
-
-/// Self-check policy for the connectivity **degradation ladder**
-/// `Dynamic → DsuRescan → FullRebuild`.
+/// The repair-route rule (see the module docs, *Choosing the repair
+/// route*): a link-changing mutation that moves `moved` distinct routers
+/// in a graph of `n` routers and `m` links repairs its components by one
+/// whole-graph rescan when `moved · (1 + 2m/n) · ⌈√n⌉ / 2 ≥ n + m`, and
+/// through the component-local dynamic engine otherwise.
 ///
-/// All three [`ConnectivityMode`]s produce the same observable state, so
-/// demoting to a slower rung is always output-safe — it trades speed for
-/// simplicity when the fast engine shows signs of trouble. Two triggers
-/// exist, both off by default (a zero field disables its trigger, and
-/// the all-zero `Default` policy is completely free on the hot path):
+/// # Examples
 ///
-/// * **Audit:** every `audit_every` repairs, the component partition is
-///   recomputed from the adjacency by the whole-graph union–find rescan
-///   and compared with the engine's. A mismatch adopts the reference
-///   partition and demotes one rung.
-/// * **Fallback streak:** `fallback_streak_limit` consecutive repairs
-///   that each exceeded the dynamic engine's cost cap demote
-///   `Dynamic → DsuRescan` (paying one rescan per repair *anyway* means
-///   the dynamic bookkeeping is pure overhead).
+/// ```
+/// use wmn_graph::topology::prefers_rescan;
 ///
-/// Demotions are observable via the `degrade.*` counters of
-/// [`engine_stats`](WmnTopology::engine_stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DegradationPolicy {
-    /// Audit the partition every this many repairs (`0` = never).
-    pub audit_every: u64,
-    /// Demote `Dynamic → DsuRescan` after this many consecutive cost-cap
-    /// fallbacks (`0` = never).
-    pub fallback_streak_limit: u64,
+/// // Single moves and swaps stay local at any size; an eighth of a
+/// // 4,096-router mesh (m ≈ 3,400 links) moved at once takes the rescan.
+/// assert!(!prefers_rescan(1, 64, 24));
+/// assert!(!prefers_rescan(2, 4096, 3400));
+/// assert!(prefers_rescan(512, 4096, 3400));
+/// ```
+pub fn prefers_rescan(moved: usize, n: usize, m: usize) -> bool {
+    let (k, n, m) = (moved as u128, n as u128, m as u128);
+    let sqrt_n = (n as f64).sqrt().ceil() as u128;
+    k * sqrt_n * (n + 2 * m) >= 2 * n * (n + m)
 }
 
 /// Link model + coverage rule: everything configurable about how a
@@ -274,11 +273,9 @@ pub struct WmnTopology {
     /// router.
     disk_clients: NeighborSlab,
     disk_cached: Vec<bool>,
-    /// Connectivity repair strategy (see [`ConnectivityMode`]).
-    connectivity_mode: ConnectivityMode,
-    /// Degradation-ladder policy (see [`DegradationPolicy`]; all-zero =
-    /// disabled). Configuration like the mode: travels with state copies.
-    degradation: DegradationPolicy,
+    /// Whether every mutation runs the full-rebuild reference instead of
+    /// the incremental engine (see [`WmnTopology::set_rebuild_mode`]).
+    rebuild_mode: bool,
     scratch: MoveScratch,
 }
 
@@ -301,38 +298,25 @@ struct MoveScratch {
     move_epoch: u32,
     /// Reusable disk-query buffer for cache-miss fills of the disk slab.
     disk_buf: Vec<u32>,
-    /// The dynamic connectivity engine (pure scratch: component state
-    /// lives in `components`, so copies never need to synchronize it).
+    /// The connectivity engine (pure scratch: component state lives in
+    /// `components`, so copies never need to synchronize it). Its
+    /// local-route buffers are sized on first use, so a topology whose
+    /// mutations all take the rescan route never allocates them.
     conn: DynamicConnectivity,
-    /// Edge insert/delete streams of the current repair, produced by the
-    /// old-vs-new neighbor diffs of the grid-local edge repair.
+    /// Edge insert/delete streams of the current local-route repair,
+    /// produced by the old-vs-new neighbor diffs of the grid-local edge
+    /// repair (the rescan route records none).
     ins_events: Vec<(u32, u32)>,
     del_events: Vec<(u32, u32)>,
     /// Always-on work counters of the delta-evaluation engine. Scratch,
     /// like the connectivity engine's: zeroed by `clone`, kept running by
     /// `clone_from` (so per-slot totals accumulate across a GA run).
     counters: TopologyStats,
-    /// Degradation-ladder counters (audits, demotions); scratch like
-    /// `counters`.
-    degrade: DegradeStats,
     /// Per-phase buckets partitioning the batch-repair engine work
     /// (edge repair / component repair / coverage, see [`ApplyPhases`]);
     /// scratch like `counters`, and always-on for the same reason: the
     /// buckets are snapshots of counters the engine maintains anyway.
     phases: ApplyPhases,
-    /// Repairs since the last partition audit.
-    repairs_since_audit: u64,
-    /// Consecutive deletion repairs that each hit the cost-cap fallback.
-    fallback_streak: u64,
-    /// `conn.stats().fallbacks` after the previous repair (streak
-    /// detection).
-    last_fallbacks: u64,
-    /// `conn.stats().bfs_edge_visits` after the previous repair (a grown
-    /// value without a fallback means a deletion search *succeeded*,
-    /// which is what breaks a streak).
-    last_bfs_visits: u64,
-    /// Reference partition buffer for audits (lazily allocated).
-    audit_components: Option<Components>,
 }
 
 /// One unique moved router of a repair (a move, a swap, or a batch
@@ -350,7 +334,7 @@ impl Clone for WmnTopology {
     fn clone(&self) -> Self {
         // Scratch state is not copied, but the connectivity cost-cap
         // override is configuration, not scratch — it travels like the
-        // connectivity mode does.
+        // rebuild mode does.
         let mut scratch = MoveScratch::default();
         scratch
             .conn
@@ -370,8 +354,7 @@ impl Clone for WmnTopology {
             covered_count: self.covered_count,
             disk_clients: self.disk_clients.clone(),
             disk_cached: self.disk_cached.clone(),
-            connectivity_mode: self.connectivity_mode,
-            degradation: self.degradation,
+            rebuild_mode: self.rebuild_mode,
             scratch,
         }
     }
@@ -399,8 +382,7 @@ impl Clone for WmnTopology {
         self.covered_count = src.covered_count;
         self.disk_clients.clone_from(&src.disk_clients);
         self.disk_cached.clone_from(&src.disk_cached);
-        self.connectivity_mode = src.connectivity_mode;
-        self.degradation = src.degradation;
+        self.rebuild_mode = src.rebuild_mode;
         self.scratch
             .conn
             .set_cost_cap(src.scratch.conn.cost_cap_override());
@@ -465,8 +447,7 @@ impl WmnTopology {
             covered_count: 0,
             disk_clients: NeighborSlab::with_nodes(positions_len),
             disk_cached: vec![false; positions_len],
-            connectivity_mode: ConnectivityMode::default(),
-            degradation: DegradationPolicy::default(),
+            rebuild_mode: false,
             scratch: MoveScratch::default(),
         };
         topo.recompute_coverage();
@@ -489,7 +470,6 @@ impl WmnTopology {
             self.positions.len(),
             "placement length must match router count"
         );
-        self.scratch.counters.full_rebuilds += 1;
         self.positions.copy_from_slice(placement.as_slice());
         self.disk_cached.fill(false);
         self.router_index.rebuild(&self.positions);
@@ -499,14 +479,22 @@ impl WmnTopology {
             self.config.link_model,
             &self.router_index,
         );
+        self.count_full_rebuild();
         let MoveScratch {
-            uf,
-            label_of_root,
-            conn,
-            ..
+            uf, label_of_root, ..
         } = &mut self.scratch;
-        conn.rescan(&self.adjacency, &mut self.components, uf, label_of_root);
+        self.components
+            .rebuild_incremental(&self.adjacency, uf, label_of_root);
         self.recompute_coverage();
+    }
+
+    /// Counts one whole-topology rebuild of the current adjacency: its
+    /// routers and edges, the reference oracle's work in counter units.
+    fn count_full_rebuild(&mut self) {
+        let counters = &mut self.scratch.counters;
+        counters.full_rebuilds += 1;
+        counters.full_rebuild_nodes += self.positions.len() as u64;
+        counters.full_rebuild_edges += self.adjacency.edge_count() as u64;
     }
 
     /// The active configuration.
@@ -602,41 +590,23 @@ impl WmnTopology {
     /// Switches between the incremental engine (default) and the
     /// full-rebuild reference path: when `full` is set, every
     /// [`move_router`](WmnTopology::move_router) /
-    /// [`swap_routers`](WmnTopology::swap_routers) runs
+    /// [`swap_routers`](WmnTopology::swap_routers) /
+    /// [`apply_moves`](WmnTopology::apply_moves) runs
     /// [`rebuild_full`](WmnTopology::rebuild_full) instead of the delta
     /// path. Results are bit-identical either way (verified by the
     /// equivalence suites); the `ablation_move_eval` bench measures the
-    /// gap. Shorthand for
-    /// [`set_connectivity_mode`](WmnTopology::set_connectivity_mode) with
-    /// [`ConnectivityMode::FullRebuild`] / [`ConnectivityMode::Dynamic`].
+    /// gap. The mode travels with state copies ([`Clone::clone_from`]).
     pub fn set_rebuild_mode(&mut self, full: bool) {
-        self.connectivity_mode = if full {
-            ConnectivityMode::FullRebuild
-        } else {
-            ConnectivityMode::Dynamic
-        };
+        self.rebuild_mode = full;
     }
 
     /// Returns `true` when every move performs a full rebuild (see
     /// [`set_rebuild_mode`](WmnTopology::set_rebuild_mode)).
     pub fn rebuild_mode(&self) -> bool {
-        self.connectivity_mode == ConnectivityMode::FullRebuild
+        self.rebuild_mode
     }
 
-    /// Selects the connectivity repair strategy (see [`ConnectivityMode`];
-    /// results are bit-identical in every mode). The mode travels with
-    /// state copies ([`Clone::clone_from`]), so a population pool seeded
-    /// from pinned parents stays pinned.
-    pub fn set_connectivity_mode(&mut self, mode: ConnectivityMode) {
-        self.connectivity_mode = mode;
-    }
-
-    /// The active connectivity repair strategy.
-    pub fn connectivity_mode(&self) -> ConnectivityMode {
-        self.connectivity_mode
-    }
-
-    /// Cumulative counters of this topology's dynamic connectivity engine
+    /// Cumulative counters of this topology's connectivity engine
     /// (zeroed on construction and on `clone`; scratch state, so
     /// `clone_from` leaves them running).
     pub fn connectivity_stats(&self) -> ConnectivityStats {
@@ -651,15 +621,13 @@ impl WmnTopology {
     /// kept running by `clone_from` — and deterministic for a fixed seed
     /// at any thread count.
     pub fn engine_stats(&self) -> EngineStats {
-        let mut stats = EngineStats::new(self.scratch.counters, self.scratch.conn.stats());
-        stats.degrade = self.scratch.degrade;
-        stats
+        EngineStats::new(self.scratch.counters, self.scratch.conn.stats())
     }
 
     /// The per-phase buckets partitioning the engine work done *inside*
     /// batch repairs ([`apply_moves`](WmnTopology::apply_moves) with ≥ 2
     /// distinct routers): edge repair, component repair, coverage, and
-    /// the `FullRebuild`-mode escape hatch. Buckets are scratch state
+    /// the rebuild-mode escape hatch. Buckets are scratch state
     /// with the same lifecycle as [`engine_stats`]
     /// (WmnTopology::engine_stats) — zeroed on construction and `clone`,
     /// kept running by `clone_from` — and always sum to at most the
@@ -669,56 +637,23 @@ impl WmnTopology {
         self.scratch.phases
     }
 
-    /// Zeroes every engine counter (topology, connectivity, degradation)
-    /// and the per-phase batch-repair buckets, starting a fresh
-    /// measurement window — per-generation or per-phase deltas without
-    /// lifetime bookkeeping.
+    /// Zeroes every engine counter (topology and connectivity) and the
+    /// per-phase batch-repair buckets, starting a fresh measurement
+    /// window — per-generation or per-phase deltas without lifetime
+    /// bookkeeping.
     pub fn reset_engine_stats(&mut self) {
         self.scratch.counters.reset();
         self.scratch.conn.reset_stats();
-        self.scratch.degrade.reset();
         self.scratch.phases.reset();
     }
 
-    /// Arms (or, with the all-zero default, disarms) the connectivity
-    /// degradation ladder — see [`DegradationPolicy`]. Like the
-    /// connectivity mode, the policy travels with state copies
-    /// (`clone` / `clone_from`); the ladder's streak/audit bookkeeping is
-    /// scratch and starts fresh in a `clone`.
-    pub fn set_degradation_policy(&mut self, policy: DegradationPolicy) {
-        self.degradation = policy;
-    }
-
-    /// The active degradation-ladder policy.
-    pub fn degradation_policy(&self) -> DegradationPolicy {
-        self.degradation
-    }
-
-    /// Forces one demotion down the ladder
-    /// (`Dynamic → DsuRescan → FullRebuild`; a no-op at the bottom),
-    /// exactly as an audit failure would. Exposed for tests exercising
-    /// the lower rungs without having to corrupt the partition first.
-    #[doc(hidden)]
-    pub fn degrade_one_rung(&mut self) {
-        match self.connectivity_mode {
-            ConnectivityMode::Dynamic => {
-                self.connectivity_mode = ConnectivityMode::DsuRescan;
-                self.scratch.degrade.demotions_to_rescan += 1;
-            }
-            ConnectivityMode::DsuRescan => {
-                self.connectivity_mode = ConnectivityMode::FullRebuild;
-                self.scratch.degrade.demotions_to_full += 1;
-            }
-            ConnectivityMode::FullRebuild => {}
-        }
-    }
-
-    /// Overrides the dynamic engine's per-deletion edge-visit budget
-    /// (`None` restores the default; `Some(0)` forces the whole-graph
-    /// rescan fallback on every deletion that requires a search — see
-    /// [`DynamicConnectivity::set_cost_cap`]). Like the connectivity
-    /// mode, the override travels with state copies (`clone` /
-    /// `clone_from`), so pinned population pools stay pinned.
+    /// Overrides the local route's per-deletion edge-visit budget (`None`
+    /// restores the default; `Some(0)` forces the whole-graph rescan
+    /// fallback on every deletion that requires a search — see
+    /// [`DynamicConnectivity::set_cost_cap`]). The cap only bounds work
+    /// on the local route; it never changes which route a mutation takes.
+    /// Like the rebuild mode, the override travels with state copies
+    /// (`clone` / `clone_from`), so pinned population pools stay pinned.
     pub fn set_connectivity_cost_cap(&mut self, cap: Option<usize>) {
         self.scratch.conn.set_cost_cap(cap);
     }
@@ -863,22 +798,21 @@ impl WmnTopology {
         }
     }
 
-    /// Resets the per-repair edge-event streams; every mutation entry
-    /// point calls this before its first edge repair so stale events can
-    /// never leak across operations (or across mode switches).
-    fn begin_edge_recording(&mut self) {
+    /// Picks the component-repair route for a mutation of `moved`
+    /// distinct routers ([`prefers_rescan`] against the current graph)
+    /// and resets the edge-event streams, so stale events can never leak
+    /// across operations. Every mutation entry point calls this before
+    /// its first edge repair; returns `true` for the local route.
+    fn begin_repair(&mut self, moved: usize) -> bool {
         self.scratch.ins_events.clear();
         self.scratch.del_events.clear();
+        !prefers_rescan(moved, self.positions.len(), self.adjacency.edge_count())
     }
 
     /// Records the edge insert/delete events implied by one router's
     /// old-vs-new sorted neighbor lists (a linear merge-diff), feeding the
-    /// dynamic connectivity engine. A no-op outside
-    /// [`ConnectivityMode::Dynamic`].
+    /// local route's dynamic connectivity engine.
     fn record_edge_diff(&mut self, i: usize, old: &[u32], new: &[u32]) {
-        if self.connectivity_mode != ConnectivityMode::Dynamic {
-            return;
-        }
         let MoveScratch {
             ins_events,
             del_events,
@@ -913,107 +847,36 @@ impl WmnTopology {
         }
     }
 
-    /// Repairs `components` for the current adjacency: component-locally
-    /// through the dynamic engine (consuming the recorded edge events)
-    /// under [`ConnectivityMode::Dynamic`], or by the whole-graph
-    /// union–find rescan under [`ConnectivityMode::DsuRescan`]. Either way
+    /// Repairs `components` for the current adjacency on the route
+    /// [`begin_repair`](WmnTopology::begin_repair) picked: component-locally
+    /// through the dynamic engine (consuming the recorded edge events), or
+    /// by one whole-graph union–find rescan. Either way
     /// [`DynamicConnectivity::membership_flips`] then lists the routers
-    /// whose giant membership changed; returns `false` when that list
-    /// cannot be trusted (a degradation-ladder audit replaced the
-    /// partition), so coverage must be recomputed in full.
-    fn repair_components(&mut self) -> bool {
+    /// whose giant membership changed.
+    fn repair_components(&mut self, local: bool) {
         let MoveScratch {
             uf,
             label_of_root,
             conn,
             ins_events,
             del_events,
+            counters,
             ..
         } = &mut self.scratch;
-        match self.connectivity_mode {
-            ConnectivityMode::Dynamic => {
-                conn.apply_edge_diff(
-                    &self.adjacency,
-                    &mut self.components,
-                    ins_events,
-                    del_events,
-                    uf,
-                    label_of_root,
-                );
-            }
-            ConnectivityMode::DsuRescan | ConnectivityMode::FullRebuild => {
-                conn.rescan_with_flips(&self.adjacency, &mut self.components, uf, label_of_root);
-            }
+        if local {
+            counters.local_repairs += 1;
+            conn.apply_edge_diff(
+                &self.adjacency,
+                &mut self.components,
+                ins_events,
+                del_events,
+                uf,
+                label_of_root,
+            );
+        } else {
+            counters.rescan_repairs += 1;
+            conn.rescan_with_flips(&self.adjacency, &mut self.components, uf, label_of_root);
         }
-        if self.degradation == DegradationPolicy::default() {
-            return true;
-        }
-        !self.run_degradation_ladder()
-    }
-
-    /// The degradation ladder's per-repair hook: streak detection plus the
-    /// periodic partition audit. Returns `true` when an audit found — and
-    /// repaired — a divergent partition (the repair's membership flips are
-    /// then meaningless, and the caller must recompute coverage in full).
-    fn run_degradation_ladder(&mut self) -> bool {
-        let policy = self.degradation;
-        if policy.fallback_streak_limit > 0 && self.connectivity_mode == ConnectivityMode::Dynamic {
-            let stats = self.scratch.conn.stats();
-            // Streak bookkeeping over repairs that exercised deletion
-            // handling: a fallback extends the streak, a *successful*
-            // search (visits grew, no fallback) breaks it, and repairs
-            // with no deletion work are neutral.
-            let fell_back = stats.fallbacks > self.scratch.last_fallbacks;
-            let searched = stats.bfs_edge_visits > self.scratch.last_bfs_visits;
-            self.scratch.last_fallbacks = stats.fallbacks;
-            self.scratch.last_bfs_visits = stats.bfs_edge_visits;
-            if fell_back {
-                self.scratch.fallback_streak += 1;
-            } else if searched {
-                self.scratch.fallback_streak = 0;
-            }
-            if self.scratch.fallback_streak >= policy.fallback_streak_limit {
-                // Paying a whole-graph rescan per repair anyway: the
-                // dynamic bookkeeping is pure overhead, demote past it.
-                self.degrade_one_rung();
-                self.scratch.fallback_streak = 0;
-            }
-        }
-        if policy.audit_every == 0 {
-            return false;
-        }
-        self.scratch.repairs_since_audit += 1;
-        if self.scratch.repairs_since_audit < policy.audit_every {
-            return false;
-        }
-        self.scratch.repairs_since_audit = 0;
-        self.audit_partition()
-    }
-
-    /// Recomputes the component partition from the adjacency by the
-    /// whole-graph union–find rescan and compares it with the engine's
-    /// (`==` compares partition, giant and per-component sizes whatever the
-    /// ids). On divergence: adopt the reference partition, demote one
-    /// rung, and report `true`.
-    fn audit_partition(&mut self) -> bool {
-        let MoveScratch {
-            uf,
-            label_of_root,
-            conn,
-            degrade,
-            audit_components,
-            ..
-        } = &mut self.scratch;
-        degrade.audits += 1;
-        let reference = audit_components.get_or_insert_with(|| self.components.clone());
-        conn.rescan(&self.adjacency, reference, uf, label_of_root);
-        if *reference == self.components {
-            return false;
-        }
-        degrade.audit_failures += 1;
-        std::mem::swap(&mut self.components, reference);
-        self.degrade_one_rung();
-        true
     }
 
     /// Starts a new moved-router set: bumps `move_epoch` (sizing
@@ -1038,8 +901,8 @@ impl WmnTopology {
     }
 
     /// Component and coverage repair after a link-changing single move or
-    /// swap of `routers` (distinct).
-    fn repair_after_relink(&mut self, routers: &[usize]) {
+    /// swap of `routers` (distinct), on the route `local` names.
+    fn repair_after_relink(&mut self, routers: &[usize], local: bool) {
         let mut batch = std::mem::take(&mut self.scratch.batch);
         batch.clear();
         let epoch = self.begin_moved_set();
@@ -1051,8 +914,8 @@ impl WmnTopology {
                 counted_after: false,
             });
         }
-        let flips_known = self.repair_components();
-        self.repair_coverage(&mut batch, flips_known, None);
+        self.repair_components(local);
+        self.repair_coverage(&mut batch, None);
         self.scratch.batch = batch;
     }
 
@@ -1061,15 +924,10 @@ impl WmnTopology {
     /// filled in). Under [`CoverageRule::AnyRouter`] only the moved disks
     /// change. Under [`CoverageRule::GiantComponentOnly`] the exact delta —
     /// the moved disks plus the non-moved routers whose membership flipped
-    /// (`flips_known`: the engine's flip list is exact) — competes against
+    /// (the connectivity engine's flip list is exact) — competes against
     /// one full in-place pass over every counting router's disk. Cover
     /// counts commute, so both land the identical state; the cheaper runs.
-    fn repair_coverage(
-        &mut self,
-        batch: &mut [BatchEntry],
-        flips_known: bool,
-        donor: Option<&WmnTopology>,
-    ) {
+    fn repair_coverage(&mut self, batch: &mut [BatchEntry], donor: Option<&WmnTopology>) {
         if self.config.coverage_rule == CoverageRule::AnyRouter {
             // Membership is irrelevant: only the moved disks changed.
             self.scratch.counters.coverage_delta_repairs += 1;
@@ -1094,7 +952,7 @@ impl WmnTopology {
             .iter()
             .map(|e| usize::from(e.counted_before) + usize::from(e.counted_after))
             .sum();
-        if !flips_known || flipped_others + moved_ops > self.components.giant_size() {
+        if flipped_others + moved_ops > self.components.giant_size() {
             self.recompute_coverage_from(donor);
             return;
         }
@@ -1149,16 +1007,18 @@ impl WmnTopology {
         self.positions[i] = new;
         self.disk_cached[i] = false;
         self.router_index.relocate(i, old, new);
-        if self.connectivity_mode == ConnectivityMode::FullRebuild {
+        if self.rebuild_mode {
             self.rebuild_full();
             return old;
         }
 
-        self.begin_edge_recording();
+        let local = self.begin_repair(1);
         let mut old_n = std::mem::take(&mut self.scratch.old_a);
         let mut new_n = std::mem::take(&mut self.scratch.new_a);
         self.recompute_router_edges_into(i, &mut old_n, &mut new_n);
-        self.record_edge_diff(i, &old_n, &new_n);
+        if local {
+            self.record_edge_diff(i, &old_n, &new_n);
+        }
         let links_changed = old_n != new_n;
         self.scratch.old_a = old_n;
         self.scratch.new_a = new_n;
@@ -1174,7 +1034,7 @@ impl WmnTopology {
             return old;
         }
 
-        self.repair_after_relink(&[i]);
+        self.repair_after_relink(&[i], local);
         old
     }
 
@@ -1198,20 +1058,22 @@ impl WmnTopology {
         self.disk_cached[ib] = false;
         self.router_index.relocate(ia, pa, pb);
         self.router_index.relocate(ib, pb, pa);
-        if self.connectivity_mode == ConnectivityMode::FullRebuild {
+        if self.rebuild_mode {
             self.rebuild_full();
             return;
         }
 
-        self.begin_edge_recording();
+        let local = self.begin_repair(2);
         let mut old_a = std::mem::take(&mut self.scratch.old_a);
         let mut new_a = std::mem::take(&mut self.scratch.new_a);
         let mut old_b = std::mem::take(&mut self.scratch.old_b);
         let mut new_b = std::mem::take(&mut self.scratch.new_b);
         self.recompute_router_edges_into(ia, &mut old_a, &mut new_a);
-        self.record_edge_diff(ia, &old_a, &new_a);
         self.recompute_router_edges_into(ib, &mut old_b, &mut new_b);
-        self.record_edge_diff(ib, &old_b, &new_b);
+        if local {
+            self.record_edge_diff(ia, &old_a, &new_a);
+            self.record_edge_diff(ib, &old_b, &new_b);
+        }
         // If `ia`'s repair was a no-op, `old_b` reflects the pre-swap graph,
         // so both comparisons together certify the graph is unchanged.
         let links_changed = old_a != new_a || old_b != new_b;
@@ -1236,7 +1098,7 @@ impl WmnTopology {
             return;
         }
 
-        self.repair_after_relink(&[ia, ib]);
+        self.repair_after_relink(&[ia, ib], local);
     }
 
     /// Writes the per-router relocations that morph this topology's current
@@ -1349,7 +1211,7 @@ impl WmnTopology {
         }
         self.scratch.counters.batch_repairs += 1;
         self.scratch.counters.batch_moved_routers += batch.len() as u64;
-        if self.connectivity_mode == ConnectivityMode::FullRebuild {
+        if self.rebuild_mode {
             self.scratch.batch = batch;
             self.rebuild_full();
             let delta = self.engine_stats().delta_since(&section_start);
@@ -1363,14 +1225,16 @@ impl WmnTopology {
         // an earlier-processed moved router that alters a later one's list
         // is caught by the earlier router's own comparison) — so the
         // recorded insert/delete streams carry each changed edge exactly
-        // once.
-        self.begin_edge_recording();
+        // once. The rescan route records nothing.
+        let local = self.begin_repair(batch.len());
         let mut old_n = std::mem::take(&mut self.scratch.old_a);
         let mut new_n = std::mem::take(&mut self.scratch.new_a);
         let mut links_changed = false;
         for e in &batch {
             self.recompute_router_edges_into(e.router as usize, &mut old_n, &mut new_n);
-            self.record_edge_diff(e.router as usize, &old_n, &new_n);
+            if local {
+                self.record_edge_diff(e.router as usize, &old_n, &new_n);
+            }
             links_changed |= old_n != new_n;
         }
         self.scratch.old_a = old_n;
@@ -1399,11 +1263,11 @@ impl WmnTopology {
         for e in &mut batch {
             e.counted_before = self.is_counted(e.router as usize);
         }
-        let flips_known = self.repair_components();
+        self.repair_components(local);
         let after_components = self.engine_stats();
         let component_delta = after_components.delta_since(&after_edges);
         self.scratch.phases.component_repair.merge(&component_delta);
-        self.repair_coverage(&mut batch, flips_known, donor);
+        self.repair_coverage(&mut batch, donor);
         self.scratch.batch = batch;
         let delta = self.engine_stats().delta_since(&after_components);
         self.scratch.phases.coverage.merge(&delta);
@@ -1413,7 +1277,6 @@ impl WmnTopology {
     /// scratch. The reference path: tests, the rebuild-mode baseline, and
     /// the `ablation_move_eval` bench run it to pin the incremental engine.
     pub fn rebuild_full(&mut self) {
-        self.scratch.counters.full_rebuilds += 1;
         self.router_index.rebuild(&self.positions);
         self.adjacency = MeshAdjacency::build(
             &self.area,
@@ -1421,6 +1284,7 @@ impl WmnTopology {
             &self.radii,
             self.config.link_model,
         );
+        self.count_full_rebuild();
         self.components = Components::from_adjacency(&self.adjacency);
         self.recompute_coverage();
     }
@@ -1622,32 +1486,6 @@ mod tests {
         }
     }
 
-    fn churn(topo: &mut WmnTopology, seed: u64, steps: usize, extent: f64) {
-        let mut rng = rng_from_seed(seed);
-        for _ in 0..steps {
-            let id = RouterId(rng.gen_range(0..topo.router_count()));
-            let p = Point::new(rng.gen_range(0.0..=extent), rng.gen_range(0.0..=extent));
-            topo.move_router(id, p);
-        }
-    }
-
-    /// A dense, well-connected topology: deleted edges usually leave both
-    /// endpoints with other links, so deletion repair actually runs the
-    /// bounded search (the paper instance is sparse enough that deletions
-    /// mostly hit the singleton fast path and never search).
-    fn dense_topology(seed: u64) -> WmnTopology {
-        let area = Area::square(40.0).unwrap();
-        let prof = RadioProfile::fixed(12.0).unwrap();
-        let instance = InstanceBuilder::new(area)
-            .routers(prof, 24)
-            .client(Point::new(20.0, 20.0))
-            .build()
-            .unwrap();
-        let mut rng = rng_from_seed(seed);
-        let placement = instance.random_placement(&mut rng);
-        WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap()
-    }
-
     /// Routers of fixed radius 10 (linked iff at most 10 apart under the
     /// paper's mutual-range rule) at `points`, with a client on each.
     fn fixture(points: &[Point]) -> WmnTopology {
@@ -1785,83 +1623,6 @@ mod tests {
         // A swap trades members between the tied pairs: {1,4} and {0,2}.
         topo.swap_routers(RouterId(0), RouterId(1));
         check_fixture(&topo, &[0, 2]);
-    }
-
-    #[test]
-    fn degrade_one_rung_walks_the_ladder() {
-        let (_instance, mut topo) = paper_topology(5);
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::Dynamic);
-        topo.degrade_one_rung();
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::DsuRescan);
-        topo.degrade_one_rung();
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::FullRebuild);
-        topo.degrade_one_rung();
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::FullRebuild);
-        let degrade = topo.engine_stats().degrade;
-        assert_eq!(degrade.demotions_to_rescan, 1);
-        assert_eq!(degrade.demotions_to_full, 1);
-    }
-
-    #[test]
-    fn audit_passes_on_a_healthy_engine() {
-        let (_instance, mut topo) = paper_topology(13);
-        topo.set_degradation_policy(DegradationPolicy {
-            audit_every: 4,
-            fallback_streak_limit: 0,
-        });
-        churn(&mut topo, 77, 30, 128.0);
-        topo.assert_consistent();
-        let degrade = topo.engine_stats().degrade;
-        assert!(degrade.audits > 0, "audits must have run");
-        assert_eq!(degrade.audit_failures, 0);
-        assert_eq!(degrade.demotions_to_rescan, 0);
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::Dynamic);
-    }
-
-    #[test]
-    fn fallback_streak_demotes_dynamic_to_rescan_without_changing_state() {
-        let mut topo = dense_topology(17);
-        let mut reference = topo.clone();
-        // Cost cap 0 forces the whole-graph fallback on every deletion
-        // that needs a search; three in a row must demote.
-        topo.set_connectivity_cost_cap(Some(0));
-        topo.set_degradation_policy(DegradationPolicy {
-            audit_every: 0,
-            fallback_streak_limit: 3,
-        });
-        churn(&mut topo, 31, 40, 40.0);
-        churn(&mut reference, 31, 40, 40.0);
-        assert_eq!(
-            topo.connectivity_mode(),
-            ConnectivityMode::DsuRescan,
-            "the streak must have demoted the engine"
-        );
-        let degrade = topo.engine_stats().degrade;
-        assert_eq!(degrade.demotions_to_rescan, 1);
-        assert_eq!(degrade.demotions_to_full, 0);
-        // Degradation is output-invariant: same state as the untouched
-        // dynamic reference.
-        topo.assert_consistent();
-        assert_eq!(topo.giant_size(), reference.giant_size());
-        assert_eq!(topo.covered_count(), reference.covered_count());
-        assert_eq!(topo.components(), reference.components());
-    }
-
-    #[test]
-    fn degradation_policy_travels_with_state_copies() {
-        let (_instance, mut topo) = paper_topology(19);
-        let policy = DegradationPolicy {
-            audit_every: 8,
-            fallback_streak_limit: 2,
-        };
-        topo.set_degradation_policy(policy);
-        let copy = topo.clone();
-        assert_eq!(copy.degradation_policy(), policy);
-        // Ladder counters are scratch: zeroed in a fresh clone.
-        assert_eq!(copy.engine_stats().degrade, Default::default());
-        let (_other, mut target) = paper_topology(23);
-        target.clone_from(&topo);
-        assert_eq!(target.degradation_policy(), policy);
     }
 
     #[test]
@@ -2161,7 +1922,12 @@ mod tests {
         assert_eq!(after.topology.swaps, 1);
         assert!(
             after.connectivity.repairs > 0,
-            "dynamic mode must route repairs through the engine"
+            "single moves must take the local route through the engine"
+        );
+        assert_eq!(after.topology.rescan_repairs, 0);
+        assert_eq!(
+            after.topology.local_repairs, after.connectivity.repairs,
+            "every local-route repair is one engine repair"
         );
 
         // `clone` starts a zeroed window; `clone_from` keeps counting and
@@ -2182,10 +1948,21 @@ mod tests {
     fn full_rebuild_mode_shows_up_in_the_counters() {
         let (_instance, mut topo) = paper_topology(29);
         topo.reset_engine_stats();
-        topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
+        topo.set_rebuild_mode(true);
         topo.move_router(RouterId(3), Point::new(10.0, 10.0));
         let stats = topo.engine_stats();
         assert_eq!(stats.topology.full_rebuilds, 1);
+        // The reference oracle's work: every router and every edge.
+        assert_eq!(stats.topology.full_rebuild_nodes, 64);
+        assert_eq!(
+            stats.topology.full_rebuild_edges,
+            topo.adjacency().edge_count() as u64
+        );
+        assert_eq!(
+            stats.topology.local_repairs + stats.topology.rescan_repairs,
+            0,
+            "rebuild mode takes neither repair route"
+        );
         assert_eq!(
             stats.connectivity.repairs, 0,
             "full rebuild must bypass the dynamic engine"
@@ -2232,8 +2009,8 @@ mod tests {
         // `reset_engine_stats` opens a fresh window for the buckets too.
         topo.reset_engine_stats();
         assert_eq!(topo.apply_phases(), ApplyPhases::default());
-        // `FullRebuild` mode routes batch work into its escape bucket.
-        topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
+        // Rebuild mode routes batch work into its escape bucket.
+        topo.set_rebuild_mode(true);
         topo.apply_moves(&[
             (RouterId(1), Point::new(20.0, 20.0)),
             (RouterId(2), Point::new(30.0, 30.0)),

@@ -1,16 +1,19 @@
-//! Property-based tests pitting the dynamic connectivity engine
-//! ([`ConnectivityMode::Dynamic`]) against the whole-graph DSU-rescan
-//! oracle ([`ConnectivityMode::DsuRescan`]) and the full-rebuild reference
-//! ([`ConnectivityMode::FullRebuild`]): interleaved move / swap / batch /
-//! undo streams must keep all three topologies **identical** — partition,
-//! giant, per-component sizes (component ids are opaque and may differ),
-//! coverage — across all three [`LinkModel`]s and
-//! both coverage rules, including with a cost cap tiny enough to force the
-//! engine's rescan fallback mid-stream.
+//! Property-based tests pitting the adaptive connectivity repair against
+//! the full-rebuild reference ([`WmnTopology::set_rebuild_mode`]). Both
+//! repair routes are reached through the inputs alone: one topology
+//! applies every batch through `apply_moves`, whose large batches take the
+//! whole-graph rescan route, while a twin replays each batch as single
+//! `move_router` calls, which always repair component-locally through the
+//! dynamic engine. Interleaved move / swap / batch / undo streams must
+//! keep all three topologies **identical** — partition, giant,
+//! per-component sizes (component ids are opaque and may differ),
+//! coverage — across all three [`LinkModel`]s and both coverage rules,
+//! including with a cost cap tiny enough to force the local route's
+//! rescan fallback mid-stream.
 
 use proptest::prelude::*;
 use wmn_graph::adjacency::LinkModel;
-use wmn_graph::topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
+use wmn_graph::topology::{CoverageRule, TopologyConfig, WmnTopology};
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::{InstanceSpec, ProblemInstance};
@@ -37,9 +40,10 @@ fn step_strategy(side: f64) -> impl Strategy<Value = Step> {
         // Deliberately out-of-area sometimes: the topology clamps.
         -10.0..side + 10.0,
         -10.0..side + 10.0,
+        // Up to whole-instance batches: the largest take the rescan route.
         proptest::collection::vec(
             (any::<usize>(), -10.0..side + 10.0, -10.0..side + 10.0),
-            2..10,
+            2..30,
         ),
     )
         .prop_map(|(kind, a, b, x, y, moves)| match kind {
@@ -85,7 +89,11 @@ fn all_configs() -> Vec<TopologyConfig> {
     configs
 }
 
-/// Applies the same step to every topology in `topos`.
+/// Index of the topology that replays batches as single moves.
+const STEPWISE: usize = 1;
+
+/// Applies the same step to every topology in `topos`; the
+/// [`STEPWISE`] one applies a batch as one `move_router` per entry.
 fn apply_step(topos: &mut [WmnTopology], step: &Step, undo_log: &mut Vec<Step>) {
     let n = topos[0].router_count();
     match step {
@@ -123,8 +131,14 @@ fn apply_step(topos: &mut [WmnTopology], step: &Step, undo_log: &mut Vec<Step>) 
                     inverse.push((id, topos[0].position(id)));
                 }
             }
-            for t in topos.iter_mut() {
-                t.apply_moves(&batch);
+            for (k, t) in topos.iter_mut().enumerate() {
+                if k == STEPWISE {
+                    for &(id, to) in &batch {
+                        t.move_router(id, to);
+                    }
+                } else {
+                    t.apply_moves(&batch);
+                }
             }
             undo_log.push(Step::Batch {
                 moves: inverse
@@ -141,7 +155,7 @@ fn apply_step(topos: &mut [WmnTopology], step: &Step, undo_log: &mut Vec<Step>) 
     }
 }
 
-/// Asserts full observable-state equality between the mode trio.
+/// Asserts full observable-state equality between the trio.
 fn assert_trio_identical(topos: &[WmnTopology], context: &str) {
     let lead = &topos[0];
     for (k, t) in topos.iter().enumerate().skip(1) {
@@ -171,16 +185,15 @@ fn run_trio(
     let mut rng = rng_from_seed(seed);
     let placement = instance.random_placement(&mut rng);
     let build = || WmnTopology::build(instance, &placement, config).unwrap();
-    let mut dynamic = build();
-    assert_eq!(dynamic.connectivity_mode(), ConnectivityMode::Dynamic);
+    let mut adaptive = build();
+    let mut stepwise = build();
     if let Some(cap) = fallback_cap {
-        dynamic.set_connectivity_cost_cap(Some(cap));
+        adaptive.set_connectivity_cost_cap(Some(cap));
+        stepwise.set_connectivity_cost_cap(Some(cap));
     }
-    let mut rescan = build();
-    rescan.set_connectivity_mode(ConnectivityMode::DsuRescan);
     let mut full = build();
-    full.set_connectivity_mode(ConnectivityMode::FullRebuild);
-    let mut topos = [dynamic, rescan, full];
+    full.set_rebuild_mode(true);
+    let mut topos = [adaptive, stepwise, full];
     let mut undo_log = Vec::new();
     for (s, step) in steps.iter().enumerate() {
         apply_step(&mut topos, step, &mut undo_log);
@@ -251,7 +264,7 @@ fn fallback_counter_proves_the_capped_path_ran() {
         "zero cap must force the rescan fallback"
     );
     // The cap override is configuration, not scratch: it must survive
-    // state copies, like the connectivity mode does.
+    // state copies, like the rebuild mode does.
     let mut copy = topo.clone();
     for _ in 0..20 {
         let id = RouterId(rng.gen_range(0..copy.router_count()));
@@ -286,4 +299,38 @@ fn dynamic_path_statistics_accumulate() {
         "60 random moves must churn edges"
     );
     assert_eq!(stats.fallbacks, 0, "default cap must hold at paper scale");
+}
+
+#[test]
+fn batch_routes_follow_the_rule_and_agree_with_single_moves() {
+    // A whole-instance batch takes the rescan route, a two-router batch the
+    // local one, and either lands the state a stream of single moves does.
+    let instance = InstanceSpec::paper_normal().unwrap().generate(4).unwrap();
+    let placement = instance.random_placement(&mut rng_from_seed(10));
+    let target = instance.random_placement(&mut rng_from_seed(11));
+    let config = TopologyConfig::paper_default();
+    let mut batched = WmnTopology::build(&instance, &placement, config).unwrap();
+    let mut stepwise = batched.clone();
+    for moves in [
+        target.iter().collect::<Vec<_>>(),
+        placement.iter().take(2).collect(),
+    ] {
+        let before = batched.engine_stats().topology;
+        batched.apply_moves(&moves);
+        for &(id, to) in &moves {
+            stepwise.move_router(id, to);
+        }
+        let d = batched.engine_stats().topology.delta_since(&before);
+        let big = moves.len() == instance.router_count();
+        assert_eq!(
+            (d.rescan_repairs, d.local_repairs),
+            if big { (1, 0) } else { (0, 1) },
+            "{} moved routers: {d:?}",
+            moves.len()
+        );
+        assert_eq!(batched.components(), stepwise.components());
+        assert_eq!(batched.covered_mask(), stepwise.covered_mask());
+        batched.assert_consistent();
+    }
+    assert_eq!(stepwise.engine_stats().topology.rescan_repairs, 0);
 }

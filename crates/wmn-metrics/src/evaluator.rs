@@ -279,13 +279,12 @@ impl<'a> Evaluator<'a> {
     /// instead of rebuilding: the per-router placement diff is computed
     /// into `moves` (a caller-owned scratch buffer, so the hot loop stays
     /// allocation-free) and applied through the incremental batch engine
-    /// (`WmnTopology::apply_moves` — whose edge churn feeds the dynamic
-    /// connectivity engine under the default
-    /// `ConnectivityMode::Dynamic`), then the repaired topology is
-    /// evaluated. Results are identical to [`Evaluator::evaluate`] on
-    /// `target` (pinned by the equivalence suites) in every connectivity
-    /// mode; only the repair cost differs — proportional to the diff, not
-    /// the instance.
+    /// (`WmnTopology::apply_moves`, which repairs connectivity
+    /// component-locally for small diffs and by one whole-graph rescan for
+    /// large ones), then the repaired topology is evaluated. Results are
+    /// identical to [`Evaluator::evaluate`] on `target` (pinned by the
+    /// equivalence suites) on either route and in rebuild mode; only the
+    /// repair cost differs.
     ///
     /// This is the evaluation entry point for delta-backed individuals:
     /// the topology-backed GA copies a parent's topology state into a
@@ -483,32 +482,45 @@ mod tests {
 
     #[test]
     fn evaluate_moves_to_is_identical_across_connectivity_modes() {
-        use wmn_graph::topology::ConnectivityMode;
+        // The adaptive engine against the full-rebuild reference, on both
+        // repair routes: whole-placement targets move every router (the
+        // rescan route), three-router perturbations stay local.
         let instance = InstanceSpec::paper_normal().unwrap().generate(17).unwrap();
         let ev = Evaluator::paper_default(&instance);
         let mut rng = rng_from_seed(31);
         let parent = instance.random_placement(&mut rng);
-        let mut dynamic = ev.topology(&parent).unwrap();
-        assert_eq!(dynamic.connectivity_mode(), ConnectivityMode::Dynamic);
-        let mut rescan = ev.topology(&parent).unwrap();
-        rescan.set_connectivity_mode(ConnectivityMode::DsuRescan);
+        let mut adaptive = ev.topology(&parent).unwrap();
+        assert!(!adaptive.rebuild_mode());
+        let mut rebuild = ev.topology(&parent).unwrap();
+        rebuild.set_rebuild_mode(true);
         let mut moves = Vec::new();
-        for round in 0..4 {
-            let target = instance.random_placement(&mut rng);
+        for round in 0..8 {
+            let target = if round % 2 == 0 {
+                instance.random_placement(&mut rng)
+            } else {
+                let other = instance.random_placement(&mut rng);
+                let mut near = adaptive.positions().to_vec();
+                for k in 0..3 {
+                    let i = (round * 7 + k * 19) % near.len();
+                    near[i] = other.as_slice()[i];
+                }
+                Placement::from_points(near)
+            };
             let a = ev
-                .evaluate_moves_to(&mut dynamic, &target, &mut moves)
+                .evaluate_moves_to(&mut adaptive, &target, &mut moves)
                 .unwrap();
             let b = ev
-                .evaluate_moves_to(&mut rescan, &target, &mut moves)
+                .evaluate_moves_to(&mut rebuild, &target, &mut moves)
                 .unwrap();
             assert_eq!(a, b, "round {round}");
             assert_eq!(a, ev.evaluate(&target).unwrap(), "round {round} vs fresh");
         }
-        let stats = dynamic.connectivity_stats();
+        let stats = adaptive.engine_stats();
         assert!(
-            stats.repairs > 0 && stats.insertions + stats.deletions > 0,
-            "the dynamic engine must have processed the diffs"
+            stats.topology.local_repairs > 0 && stats.topology.rescan_repairs > 0,
+            "both repair routes must have run: {stats:?}"
         );
+        assert!(stats.connectivity.insertions + stats.connectivity.deletions > 0);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub struct ConnectivityStats {
     /// both endpoints in the final adjacency proves they stay connected,
     /// so no search runs at all.
     pub triangle_shortcuts: u64,
-    /// Repairs that exceeded the cost cap and fell back to the
-    /// whole-graph DSU rescan.
+    /// Local-route repairs that exceeded the cost cap (a safety net) and
+    /// fell back to the whole-graph DSU rescan.
     pub fallbacks: u64,
     /// Nodes moved to another component id by a merge (the relabeled
     /// side) or a split (the side moved to a fresh id). A node relabeled
@@ -46,9 +46,8 @@ pub struct ConnectivityStats {
     /// giant shrank, or a touched component tied the maximum size.
     pub giant_rescans: u64,
     /// Nodes swept by whole-graph union–find rescans
-    /// (`Components::rebuild_incremental`): cost-cap fallbacks,
-    /// `DsuRescan`-mode repairs, partition audits and in-place
-    /// placement resets.
+    /// (`Components::rebuild_incremental`): rescan-route repairs,
+    /// cost-cap fallbacks and in-place placement resets.
     pub rescan_nodes: u64,
     /// Edges unioned by the same whole-graph rescans.
     pub rescan_edges: u64,
@@ -174,11 +173,21 @@ pub struct TopologyStats {
     /// Disk-cache grafts: caches copied from a donor topology (the GA's
     /// non-lineage parent) instead of re-queried.
     pub disk_cache_grafts: u64,
-    /// Whole-topology rebuilds: `rebuild_full` (every move under
-    /// `FullRebuild` mode) and in-place `reset_placement` rebuilds.
+    /// Whole-topology rebuilds: `rebuild_full` (every move in rebuild
+    /// mode) and in-place `reset_placement` rebuilds.
     pub full_rebuilds: u64,
+    /// Routers re-indexed by those whole-topology rebuilds (`n` each).
+    pub full_rebuild_nodes: u64,
+    /// Edges of the adjacencies those rebuilds derived (`m` each).
+    pub full_rebuild_edges: u64,
     /// Buffer-reusing `clone_from` state copies (vs. fresh `clone`s).
     pub clone_from_reuses: u64,
+    /// Link-changing mutations whose component repair took the local
+    /// route: the edge diff drives `DynamicConnectivity`.
+    pub local_repairs: u64,
+    /// Link-changing mutations whose component repair took the rescan
+    /// route: no edge events, one whole-graph rescan.
+    pub rescan_repairs: u64,
 }
 
 impl TopologyStats {
@@ -200,7 +209,11 @@ impl TopologyStats {
         self.disk_cache_hits += other.disk_cache_hits;
         self.disk_cache_grafts += other.disk_cache_grafts;
         self.full_rebuilds += other.full_rebuilds;
+        self.full_rebuild_nodes += other.full_rebuild_nodes;
+        self.full_rebuild_edges += other.full_rebuild_edges;
         self.clone_from_reuses += other.clone_from_reuses;
+        self.local_repairs += other.local_repairs;
+        self.rescan_repairs += other.rescan_repairs;
     }
 
     /// The counts accumulated since `earlier` was captured (saturating).
@@ -230,9 +243,17 @@ impl TopologyStats {
                 .disk_cache_grafts
                 .saturating_sub(earlier.disk_cache_grafts),
             full_rebuilds: self.full_rebuilds.saturating_sub(earlier.full_rebuilds),
+            full_rebuild_nodes: self
+                .full_rebuild_nodes
+                .saturating_sub(earlier.full_rebuild_nodes),
+            full_rebuild_edges: self
+                .full_rebuild_edges
+                .saturating_sub(earlier.full_rebuild_edges),
             clone_from_reuses: self
                 .clone_from_reuses
                 .saturating_sub(earlier.clone_from_reuses),
+            local_repairs: self.local_repairs.saturating_sub(earlier.local_repairs),
+            rescan_repairs: self.rescan_repairs.saturating_sub(earlier.rescan_repairs),
         }
     }
 
@@ -249,60 +270,11 @@ impl TopologyStats {
         f("disk_cache_hits", self.disk_cache_hits);
         f("disk_cache_grafts", self.disk_cache_grafts);
         f("full_rebuilds", self.full_rebuilds);
+        f("full_rebuild_nodes", self.full_rebuild_nodes);
+        f("full_rebuild_edges", self.full_rebuild_edges);
         f("clone_from_reuses", self.clone_from_reuses);
-    }
-}
-
-/// Counters of the connectivity degradation ladder (`wmn-graph`'s
-/// `DegradationPolicy`): self-check audits and mode demotions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct DegradeStats {
-    /// Self-check audits run (reference partition rebuilt and compared).
-    pub audits: u64,
-    /// Audits whose comparison found a divergence.
-    pub audit_failures: u64,
-    /// Demotions `Dynamic → DsuRescan` (audit failure or fallback streak).
-    pub demotions_to_rescan: u64,
-    /// Demotions `DsuRescan → FullRebuild` (audit failure).
-    pub demotions_to_full: u64,
-}
-
-impl DegradeStats {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = DegradeStats::default();
-    }
-
-    /// Adds `other`'s counts into `self`.
-    pub fn merge(&mut self, other: &DegradeStats) {
-        self.audits += other.audits;
-        self.audit_failures += other.audit_failures;
-        self.demotions_to_rescan += other.demotions_to_rescan;
-        self.demotions_to_full += other.demotions_to_full;
-    }
-
-    /// The counts accumulated since `earlier` was captured (saturating).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &DegradeStats) -> DegradeStats {
-        DegradeStats {
-            audits: self.audits.saturating_sub(earlier.audits),
-            audit_failures: self.audit_failures.saturating_sub(earlier.audit_failures),
-            demotions_to_rescan: self
-                .demotions_to_rescan
-                .saturating_sub(earlier.demotions_to_rescan),
-            demotions_to_full: self
-                .demotions_to_full
-                .saturating_sub(earlier.demotions_to_full),
-        }
-    }
-
-    /// Visits every counter as a `(name, value)` pair in a fixed order.
-    pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
-        f("audits", self.audits);
-        f("audit_failures", self.audit_failures);
-        f("demotions_to_rescan", self.demotions_to_rescan);
-        f("demotions_to_full", self.demotions_to_full);
+        f("local_repairs", self.local_repairs);
+        f("rescan_repairs", self.rescan_repairs);
     }
 }
 
@@ -446,20 +418,15 @@ pub struct EngineStats {
     pub topology: TopologyStats,
     /// Connectivity-repair counters.
     pub connectivity: ConnectivityStats,
-    /// Degradation-ladder counters (audits and mode demotions). Zero
-    /// unless a `DegradationPolicy` is armed, so default runs keep the
-    /// committed counter baselines unchanged.
-    pub degrade: DegradeStats,
 }
 
 impl EngineStats {
     /// Composes an engine profile from its topology and connectivity
-    /// counter groups (degradation counters start at zero).
+    /// counter groups.
     pub fn new(topology: TopologyStats, connectivity: ConnectivityStats) -> EngineStats {
         EngineStats {
             topology,
             connectivity,
-            degrade: DegradeStats::default(),
         }
     }
 
@@ -467,14 +434,12 @@ impl EngineStats {
     pub fn reset(&mut self) {
         self.topology.reset();
         self.connectivity.reset();
-        self.degrade.reset();
     }
 
     /// Adds `other`'s counts into `self` (order-independent).
     pub fn merge(&mut self, other: &EngineStats) {
         self.topology.merge(&other.topology);
         self.connectivity.merge(&other.connectivity);
-        self.degrade.merge(&other.degrade);
     }
 
     /// The counts accumulated since `earlier` was captured (saturating).
@@ -483,23 +448,18 @@ impl EngineStats {
         EngineStats {
             topology: self.topology.delta_since(&earlier.topology),
             connectivity: self.connectivity.delta_since(&earlier.connectivity),
-            degrade: self.degrade.delta_since(&earlier.degrade),
         }
     }
 
     /// Visits every counter as a dot-qualified `(name, value)` pair
-    /// (`topology.*`, then `connectivity.*`, then `degrade.*`) in a fixed
-    /// order — the shape the [`Recorder`](crate::Recorder) layer and
-    /// telemetry JSON use.
+    /// (`topology.*`, then `connectivity.*`) in a fixed order — the shape
+    /// the [`Recorder`](crate::Recorder) layer and telemetry JSON use.
     pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
         self.topology.for_each(|name, v| {
             f(qualified_topology_name(name), v);
         });
         self.connectivity.for_each(|name, v| {
             f(qualified_connectivity_name(name), v);
-        });
-        self.degrade.for_each(|name, v| {
-            f(qualified_degrade_name(name), v);
         });
     }
 
@@ -514,9 +474,9 @@ impl EngineStats {
     }
 
     /// Like [`record_counters`](EngineStats::record_counters), but
-    /// attributes connectivity work one level deeper: topology,
-    /// degradation, and the connectivity counters outside both stages
-    /// emit at the recorder's current phase, while the per-stage connectivity
+    /// attributes connectivity work one level deeper: topology and the
+    /// connectivity counters outside both stages emit at the recorder's
+    /// current phase, while the per-stage connectivity
     /// counters (see [`ConnectivityStats::stage_split`]) emit under
     /// child phases `insert` / `delete`. Flat totals are identical to a
     /// single `record_counters` call — only the attribution differs.
@@ -531,7 +491,6 @@ impl EngineStats {
                 rescan_edges: self.connectivity.rescan_edges,
                 ..ConnectivityStats::default()
             },
-            degrade: self.degrade,
         };
         parent.record_counters(recorder);
         let (insert, delete) = self.connectivity.stage_split();
@@ -547,8 +506,8 @@ impl EngineStats {
 }
 
 /// Per-phase work buckets of `WmnTopology::apply_moves` — the batch
-/// repair pipeline split along its three sections (plus the
-/// `FullRebuild`-mode escape hatch). Buckets are always-on scratch
+/// repair pipeline split along its three sections (plus the rebuild-mode
+/// escape hatch). Buckets are always-on scratch
 /// state like the flat counters they partition: each bucket is the
 /// [`EngineStats`] delta accumulated while its section ran, so the four
 /// buckets sum to exactly the engine work done inside batch repairs.
@@ -561,13 +520,14 @@ pub struct ApplyPhases {
     /// Per-router grid-local link recomputation and edge diffing.
     pub edge_repair: EngineStats,
     /// Incremental component repair (the connectivity engine's insert /
-    /// delete sweeps, or the DSU rescan under `DsuRescan` mode).
+    /// delete sweeps on the local route, or one DSU rescan on the rescan
+    /// route).
     pub component_repair: EngineStats,
     /// Coverage maintenance: disk-cache refills and the per-disk delta
     /// vs. full-recompute coverage repair.
     pub coverage: EngineStats,
     /// Whole-topology rebuilds taken instead of the incremental pipeline
-    /// (`FullRebuild` connectivity mode). Zero on the default pipeline.
+    /// (rebuild mode). Zero on the default pipeline.
     pub full_rebuild: EngineStats,
 }
 
@@ -653,7 +613,11 @@ fn qualified_topology_name(name: &'static str) -> &'static str {
         "disk_cache_hits" => "topology.disk_cache_hits",
         "disk_cache_grafts" => "topology.disk_cache_grafts",
         "full_rebuilds" => "topology.full_rebuilds",
+        "full_rebuild_nodes" => "topology.full_rebuild_nodes",
+        "full_rebuild_edges" => "topology.full_rebuild_edges",
         "clone_from_reuses" => "topology.clone_from_reuses",
+        "local_repairs" => "topology.local_repairs",
+        "rescan_repairs" => "topology.rescan_repairs",
         other => other,
     }
 }
@@ -674,18 +638,6 @@ fn qualified_connectivity_name(name: &'static str) -> &'static str {
         "giant_rescans" => "connectivity.giant_rescans",
         "rescan_nodes" => "connectivity.rescan_nodes",
         "rescan_edges" => "connectivity.rescan_edges",
-        other => other,
-    }
-}
-
-/// Maps a [`DegradeStats`] field name to its dot-qualified telemetry
-/// name.
-fn qualified_degrade_name(name: &'static str) -> &'static str {
-    match name {
-        "audits" => "degrade.audits",
-        "audit_failures" => "degrade.audit_failures",
-        "demotions_to_rescan" => "degrade.demotions_to_rescan",
-        "demotions_to_full" => "degrade.demotions_to_full",
         other => other,
     }
 }
@@ -771,10 +723,9 @@ mod tests {
         e.connectivity.repairs = 2;
         let mut names = Vec::new();
         e.for_each(|name, _| names.push(name));
-        assert_eq!(names.len(), 12 + 12 + 4, "every field appears exactly once");
+        assert_eq!(names.len(), 16 + 12, "every field appears exactly once");
         assert_eq!(names[0], "topology.single_moves");
-        assert_eq!(names[12], "connectivity.repairs");
-        assert_eq!(names[24], "degrade.audits");
+        assert_eq!(names[16], "connectivity.repairs");
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();

@@ -39,9 +39,10 @@ pub enum FaultKind {
     Panic,
     /// Make the job return an injected `Err` (exercises retry/classify).
     Error,
-    /// Artificially blow up repair cost (exercises the connectivity
-    /// degradation ladder); the attempt is still doomed afterwards so the
-    /// sabotaged work can never leak into final output.
+    /// Artificially blow up repair cost (the experiment runners floor the
+    /// connectivity cost cap, forcing rescan fallbacks); the attempt is
+    /// still doomed afterwards so the sabotaged work can never leak into
+    /// final output.
     Blowup,
 }
 

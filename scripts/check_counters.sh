@@ -5,22 +5,22 @@
 # thread, one GA thread) with --telemetry, and compares the resulting
 # counter profile against the committed COUNTERS_baseline.json with
 # `wmn-report diff`. Because every counter is a deterministic work
-# count — moves applied, coverage repairs by strategy, disk-cache hits,
-# connectivity BFS edge visits — the snapshot is byte-stable across
-# machines and thread counts, so any drift is a real change in how much
-# work the engine does, not timing noise. A pessimized build (e.g.
-# WMN_CHECK_CONNECTIVITY=full, which forces the full-rebuild oracle)
-# fails the gate; CI relies on that as the negative test.
+# count — moves applied, repair routes taken, coverage repairs by
+# strategy, disk-cache hits, connectivity BFS edge visits — the snapshot
+# is byte-stable across machines and thread counts, so any drift is a
+# real change in how much work the engine does, not timing noise.
+#
+# The gate's negative test lives in
+# crates/wmn-experiments/tests/counter_gate.rs: it produces the same fig3
+# telemetry through the library on the full-rebuild reference pipeline
+# (GaEvalMode::Rebuild) and asserts that `wmn-report diff` against this
+# baseline reports drift — and, as its control, that the default
+# pipeline reports none.
 #
 # Usage: scripts/check_counters.sh [--refresh]
 #   --refresh   rewrite COUNTERS_baseline.json from the current build
-#               (do this when a PR intentionally changes the work profile,
-#               and say why in the PR)
-#
-# Environment:
-#   WMN_CHECK_CONNECTIVITY   connectivity mode for the run (default
-#                            "dynamic"; "rescan"/"full" select the oracle
-#                            pipelines — useful as a should-fail probe)
+#               (do this when a change intentionally alters the work
+#               profile, and say why in CHANGES.md)
 #
 # The comparison and the baseline rewrite both go through the wmn-report
 # binary (crates/wmn-experiments/src/analyze.rs), so this script needs
@@ -30,7 +30,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=COUNTERS_baseline.json
-mode="${WMN_CHECK_CONNECTIVITY:-dynamic}"
 refresh=0
 for arg in "$@"; do
   case "$arg" in
@@ -45,7 +44,7 @@ done
 tmp="$PWD/target/check-counters"
 rm -rf "$tmp"
 cargo run --release -p wmn-experiments --bin fig3 -- \
-  --quick --threads 1 --ga-threads 1 --connectivity "$mode" \
+  --quick --threads 1 --ga-threads 1 \
   --telemetry "$tmp/telemetry" --out "$tmp/results" >/dev/null
 
 telemetry="$tmp/telemetry/telemetry.json"
@@ -55,7 +54,7 @@ report() {
 
 if [ "$refresh" -eq 1 ]; then
   report baseline "$telemetry" --out "$baseline"
-  echo "refreshed $baseline (connectivity=$mode)"
+  echo "refreshed $baseline"
   exit 0
 fi
 

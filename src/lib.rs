@@ -77,7 +77,7 @@ pub use wmn_runtime::Runtime;
 pub mod prelude {
     pub use wmn_ga::prelude::*;
     pub use wmn_graph::{
-        ConnectivityMode, CoverageRule, DynamicConnectivity, LinkModel, TopologyConfig, WmnTopology,
+        CoverageRule, DynamicConnectivity, LinkModel, TopologyConfig, WmnTopology,
     };
     pub use wmn_metrics::{
         EvalWorkspace, Evaluation, Evaluator, FitnessFunction, NetworkMeasurement,

@@ -1,7 +1,8 @@
-//! The paper's qualitative claims, verified at reduced scale on every run
-//! of the test suite. (The full-scale numbers live in EXPERIMENTS.md and
-//! are regenerated by `cargo run --release -p wmn-experiments --bin
-//! run_all`.)
+//! The paper's qualitative claims, verified at reduced scale and one seed
+//! on every run of the test suite. The full-scale tables and figures are
+//! the `run_all` outputs (`cargo run --release -p wmn-experiments --bin
+//! run_all`, written to `results/`); a seed-robust report of these claims
+//! is ROADMAP item 5.
 
 use wmn::prelude::*;
 
